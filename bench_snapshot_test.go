@@ -57,8 +57,9 @@ type benchSnapEntry struct {
 // walkerModel is the PR 2 evaluation path frozen as a Model: every
 // integral runs the O(n) reference walker and every bootstrap draw the
 // binary-search Quantile path. It deliberately does not implement
-// BatchIntegrals/ProdBothIntegrals, so the optimizers treat it exactly
-// as they treated models before the kernel rewrite.
+// BatchIntegrals/ProdBothIntegrals, so the optimizers evaluate it
+// point by point (through the pointwise adapter), as they evaluated
+// models before the kernel rewrite.
 type walkerModel struct {
 	e       *stats.ECDF
 	rho, ub float64

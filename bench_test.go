@@ -271,10 +271,17 @@ func BenchmarkAblationNParallel(b *testing.B) {
 // single-resubmission objective.
 func BenchmarkAblationOptimizerGridScan(b *testing.B) {
 	m := benchModel(b)
-	obj := func(t float64) float64 { return EJSingle(m, t) }
+	// Point by point on one goroutine, like the line searches below.
+	obj := func(ts []float64) []float64 {
+		out := make([]float64, len(ts))
+		for i, t := range ts {
+			out[i] = EJSingle(m, t)
+		}
+		return out
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		optimize.GridScan1D(obj, 1, m.UpperBound(), 400, 4)
+		optimize.GridScan1D(obj, 1, m.UpperBound(), 400, 4, 1)
 	}
 }
 

@@ -79,13 +79,14 @@ func ExampleSingle_Optimize() {
 	// round trip agrees: true
 }
 
-// ExampleRecommendCheapest reproduces the paper's §7 headline on the
-// reference dataset: a delayed configuration that both finishes sooner
-// and loads the grid less than single resubmission (Δcost < 1).
-func ExampleRecommendCheapest() {
+// ExamplePlanner_RecommendCheapest reproduces the paper's §7 headline
+// on the reference dataset: a delayed configuration that both finishes
+// sooner and loads the grid less than single resubmission (Δcost < 1).
+func ExamplePlanner_RecommendCheapest() {
 	tr, _ := gridstrat.SynthesizeDataset("2006-IX")
 	m, _ := gridstrat.ModelFromTrace(tr)
-	r, err := gridstrat.RecommendCheapest(m)
+	p, _ := gridstrat.NewPlanner(m)
+	r, err := p.RecommendCheapest()
 	if err != nil {
 		panic(err)
 	}
@@ -96,12 +97,13 @@ func ExampleRecommendCheapest() {
 	// cheaper than doing nothing clever: true
 }
 
-// ExampleCompareDeadline shows the tail view of the strategies: the
-// probability that a task starts before a deadline.
-func ExampleCompareDeadline() {
+// ExamplePlanner_CompareDeadline shows the tail view of the
+// strategies: the probability that a task starts before a deadline.
+func ExamplePlanner_CompareDeadline() {
 	tr, _ := gridstrat.SynthesizeDataset("2006-IX")
 	m, _ := gridstrat.ModelFromTrace(tr)
-	rep, err := gridstrat.CompareDeadline(m, 600, 4)
+	p, _ := gridstrat.NewPlanner(m, gridstrat.WithDeadline(600), gridstrat.WithCollectionSize(4))
+	rep, err := p.CompareDeadline()
 	if err != nil {
 		panic(err)
 	}
@@ -114,16 +116,21 @@ func ExampleCompareDeadline() {
 	// and compresses the 95th percentile: true
 }
 
-// ExampleEstimateMakespan sizes a latency-dominated bag-of-tasks
-// application: with 5-fold submission the slowest-task tail shrinks so
-// much that the whole application finishes in a fraction of the time.
-func ExampleEstimateMakespan() {
+// ExamplePlanner_CompareMakespan sizes a latency-dominated
+// bag-of-tasks application: with 5-fold submission the slowest-task
+// tail shrinks so much that the whole application finishes in a
+// fraction of the time.
+func ExamplePlanner_CompareMakespan() {
 	tr, _ := gridstrat.SynthesizeDataset("2006-IX")
 	m, _ := gridstrat.ModelFromTrace(tr)
 	app := gridstrat.Application{Tasks: 500, WaveWidth: 100, Runtime: 120}
 
-	singleEst, _ := gridstrat.EstimateMakespan(app, gridstrat.NewSingleStrategy(m))
-	multiEst, _ := gridstrat.EstimateMakespan(app, gridstrat.NewMultipleStrategy(m, 5))
+	p, _ := gridstrat.NewPlanner(m)
+	ests, err := p.CompareMakespan(app, gridstrat.Single{}, gridstrat.Multiple{B: 5})
+	if err != nil {
+		panic(err)
+	}
+	singleEst, multiEst := ests[0], ests[1]
 
 	fmt.Println("waves:", app.Waves())
 	fmt.Println("b=5 at least 2x faster:", multiEst.Makespan*2 < singleEst.Makespan)

@@ -121,16 +121,18 @@ func WriteTraceJSON(w io.Writer, t *Trace) error { return trace.WriteJSON(w, t) 
 // Model is the latency law F̃R consumed by all strategy formulas.
 type Model = core.Model
 
-// BatchIntegrals is the optional Model extension the grid-scan
-// optimizers detect to answer a whole ascending grid of integral
-// queries in one sweep; EmpiricalModel (and the Planner's memoized
-// model) implement it. Implementations must return exactly the scalar
-// methods' values, so the extension is purely a wall-clock
-// optimization.
+// BatchIntegrals is the optional Model extension answering a whole
+// ascending grid of integral queries in one sweep; EmpiricalModel (and
+// the Planner's memoized model) implement it. A model implementing it
+// together with ProdBothIntegrals is scanned through its own kernels,
+// any other model through a pointwise adapter over its scalar methods.
+// Implementations must return exactly the scalar methods' values, so
+// the extension is purely a wall-clock optimization.
 type BatchIntegrals = core.BatchIntegrals
 
 // ProdBothIntegrals is the optional Model extension returning both
-// delayed cross-term integrals from one merged walk.
+// delayed cross-term integrals from one merged walk (see
+// BatchIntegrals).
 type ProdBothIntegrals = core.ProdBothIntegrals
 
 // EmpiricalModel is an exact trace-driven Model.

@@ -156,9 +156,16 @@ func TestPublicGridSimulator(t *testing.T) {
 
 func TestRecommendBudgets(t *testing.T) {
 	m := refModel(t)
+	recommend := func(maxParallel float64) (Recommendation, error) {
+		p, err := NewPlanner(m, WithMaxParallel(maxParallel))
+		if err != nil {
+			return Recommendation{}, err
+		}
+		return p.Recommend()
+	}
 
 	// Budget 1: only single qualifies (delayed needs N‖ > 1).
-	r1, err := Recommend(m, 1)
+	r1, err := recommend(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +177,7 @@ func TestRecommendBudgets(t *testing.T) {
 	}
 
 	// Budget 1.5: delayed fits, multiple (b=1) does not help.
-	r15, err := Recommend(m, 1.5)
+	r15, err := recommend(1.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +192,7 @@ func TestRecommendBudgets(t *testing.T) {
 	}
 
 	// Budget 5: multiple wins on raw EJ.
-	r5, err := Recommend(m, 5)
+	r5, err := recommend(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +206,7 @@ func TestRecommendBudgets(t *testing.T) {
 		t.Fatal("multiple should cost more than single")
 	}
 
-	if _, err := Recommend(m, 0.5); err == nil {
+	if _, err := recommend(0.5); err == nil {
 		t.Fatal("budget < 1 should fail")
 	}
 
@@ -212,8 +219,11 @@ func TestRecommendBudgets(t *testing.T) {
 }
 
 func TestRecommendCheapest(t *testing.T) {
-	m := refModel(t)
-	r, err := RecommendCheapest(m)
+	p, err := NewPlanner(refModel(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := p.RecommendCheapest()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -744,7 +744,7 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 			bs.Resilience = sr.Resilience
 			bs.Batch = sr.Batch
 			resp.Models += sr.Models
-			addShardStats(&resp.Totals, sr.Totals)
+			server.AddShardStats(&resp.Totals, sr.Totals)
 			server.AddResilienceStats(&resp.Resilience, sr.Resilience)
 			server.AddBatchStats(&resp.Batch, sr.Batch)
 		}
@@ -754,23 +754,6 @@ func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Partial, resp.Failed = true, failed
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// addShardStats accumulates b into a, field by field.
-func addShardStats(a *server.ShardStats, b server.ShardStats) {
-	a.Models += b.Models
-	a.Hits += b.Hits
-	a.Misses += b.Misses
-	a.Evictions += b.Evictions
-	a.IngestBatches += b.IngestBatches
-	a.IngestRecords += b.IngestRecords
-	a.Rebuilds += b.Rebuilds
-	a.CoalescedBatches += b.CoalescedBatches
-	a.RebuildFailures += b.RebuildFailures
-	a.QueuedRecords += b.QueuedRecords
-	a.WALAppends += b.WALAppends
-	a.WALSnapshotBytes += b.WALSnapshotBytes
-	a.ReplayedRecords += b.ReplayedRecords
 }
 
 // HealthResponse is the router's healthz body: "ok" when every backend

@@ -84,6 +84,7 @@ func (c *CostContext) OptimizeDelayedCost() CostResult {
 // results are identical for every count).
 func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (CostResult, error) {
 	ub := c.Model.UpperBound()
+	k := kernelsOf(c.Model)
 	obj := func(t0, ratio float64) float64 {
 		if ctx.Err() != nil {
 			return math.Inf(1)
@@ -98,30 +99,25 @@ func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (
 		}
 		return c.Delta(ej, nParallelExpectedCells(c.Model, p, costScanCells))
 	}
-	var r optimize.Result2D
-	if bi, ok := c.Model.(BatchIntegrals); ok {
-		// Row-sweep mode: the row's EJ values come from one kernel
-		// sweep; the N‖ expectation stays per-cell (its integrand is
-		// the survival series, not an ECDF integral) but skips the
-		// cells the sweep already proved infeasible.
-		frow := func(t0 float64, ratios []float64) []float64 {
-			if ctx.Err() != nil {
-				return infSlice(len(ratios))
-			}
-			ejs := ejDelayedRow(c.Model, bi, t0, ratios)
-			for i, ratio := range ratios {
-				if math.IsInf(ejs[i], 1) {
-					continue
-				}
-				p := DelayedParams{T0: t0, TInf: ratio * t0}
-				ejs[i] = c.Delta(ejs[i], nParallelExpectedCells(c.Model, p, costScanCells))
-			}
-			return ejs
+	// Row-sweep mode: the row's EJ values come from one kernel sweep;
+	// the N‖ expectation stays per-cell (its integrand is the survival
+	// series, not an ECDF integral) but skips the cells the sweep
+	// already proved infeasible.
+	frow := func(t0 float64, ratios []float64) []float64 {
+		if ctx.Err() != nil {
+			return infSlice(len(ratios))
 		}
-		r = optimize.MinimizeRobust2DSweep(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
-	} else {
-		r = optimize.MinimizeRobust2DPar(obj, ub*1e-3, ub/2, 1.0005, 2.0, workers)
+		ejs := ejDelayedRow(k, t0, ratios)
+		for i, ratio := range ratios {
+			if math.IsInf(ejs[i], 1) {
+				continue
+			}
+			p := DelayedParams{T0: t0, TInf: ratio * t0}
+			ejs[i] = c.Delta(ejs[i], nParallelExpectedCells(c.Model, p, costScanCells))
+		}
+		return ejs
 	}
+	r := optimize.MinimizeRobust2D(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
 	if err := ctx.Err(); err != nil {
 		return CostResult{}, err
 	}

@@ -94,23 +94,18 @@ func delayedSurvivalQ(m Model, p DelayedParams, q, t float64) float64 {
 // D = ∫_{TInf-T0}^{T0}(1-F̃), and IA2, Cu, Du their u-weighted twins.
 // Every integral is exact for the empirical model.
 func delayedMoments(m Model, p DelayedParams) (ej, ej2 float64) {
-	q := 1 - m.Ftilde(p.TInf)
+	k := kernelsOf(m)
+	q := 1 - k.Ftilde(p.TInf)
 	if q >= 1 {
 		return math.Inf(1), math.Inf(1)
 	}
 	t0, w := p.T0, p.TInf-p.T0
 
-	ia := m.IntOneMinusFPow(t0, 1)
-	ia2 := m.IntUOneMinusFPow(t0, 1)
-	var c, cu float64
-	if pb, ok := m.(ProdBothIntegrals); ok {
-		c, cu = pb.IntProdBothOneMinusF(w, t0) // both cross terms, one walk
-	} else {
-		c = m.IntProdOneMinusF(w, t0)
-		cu = m.IntUProdOneMinusF(w, t0)
-	}
-	d := ia - m.IntOneMinusFPow(w, 1)
-	du := ia2 - m.IntUOneMinusFPow(w, 1)
+	ia := k.IntOneMinusFPow(t0, 1)
+	ia2 := k.IntUOneMinusFPow(t0, 1)
+	c, cu := k.IntProdBothOneMinusF(w, t0) // both cross terms, one walk
+	d := ia - k.IntOneMinusFPow(w, 1)
+	du := ia2 - k.IntUOneMinusFPow(w, 1)
 
 	ej = ia + (c+q*d)/(1-q)
 	ej2 = 2 * (ia2 + (cu+q*du)/(1-q) + t0*(c+q*d)/((1-q)*(1-q)))
@@ -123,7 +118,7 @@ func delayedMoments(m Model, p DelayedParams) (ej, ej2 float64) {
 // w = t∞ - t0 integrals are answered by one prefix-kernel sweep, and
 // both cross terms come from a single merged walk sharing the row's
 // shift = t0. Values are identical to per-cell EJDelayed calls.
-func ejDelayedRow(m Model, bi BatchIntegrals, t0 float64, ratios []float64) []float64 {
+func ejDelayedRow(k kernels, t0 float64, ratios []float64) []float64 {
 	out := make([]float64, len(ratios))
 	if !(t0 > 0) {
 		return infSlice(len(ratios))
@@ -131,7 +126,7 @@ func ejDelayedRow(m Model, bi BatchIntegrals, t0 float64, ratios []float64) []fl
 	ws := make([]float64, len(ratios))
 	ascending := true
 	for i, r := range ratios {
-		// Same expression as the scalar path: w = TInf - T0 with
+		// Same expression as delayedMoments: w = TInf - T0 with
 		// TInf = ratio·t0.
 		ws[i] = r*t0 - t0
 		if i > 0 && ws[i] < ws[i-1] {
@@ -143,20 +138,20 @@ func ejDelayedRow(m Model, bi BatchIntegrals, t0 float64, ratios []float64) []fl
 		// ascending, so this is a rounding edge case): keep exactness
 		// by evaluating cell by cell.
 		for i, r := range ratios {
-			out[i] = EJDelayed(m, DelayedParams{T0: t0, TInf: r * t0})
+			out[i] = EJDelayed(k, DelayedParams{T0: t0, TInf: r * t0})
 		}
 		return out
 	}
-	ia := m.IntOneMinusFPow(t0, 1)
-	iw := bi.IntOneMinusFPowBatch(ws, 1)
-	cs, _ := bi.IntProdBothBatch(ws, t0)
+	ia := k.IntOneMinusFPow(t0, 1)
+	iw := k.IntOneMinusFPowBatch(ws, 1)
+	cs, _ := k.IntProdBothBatch(ws, t0)
 	for i, r := range ratios {
 		p := DelayedParams{T0: t0, TInf: r * t0}
 		if p.Validate() != nil {
 			out[i] = math.Inf(1)
 			continue
 		}
-		q := 1 - m.Ftilde(p.TInf)
+		q := 1 - k.Ftilde(p.TInf)
 		if q >= 1 {
 			out[i] = math.Inf(1)
 			continue
@@ -173,32 +168,26 @@ func ejDelayedRow(m Model, bi BatchIntegrals, t0 float64, ratios []float64) []fl
 // cross term is one windowed walk over [0, w] — already proportional
 // to the window, not the support. Values are identical to per-point
 // EJDelayed calls.
-func ejDelayedRatioBatch(m Model, bi BatchIntegrals, ratio float64, t0s []float64) []float64 {
+func ejDelayedRatioBatch(k kernels, ratio float64, t0s []float64) []float64 {
 	out := make([]float64, len(t0s))
 	ws := make([]float64, len(t0s))
 	for i, t0 := range t0s {
 		ws[i] = ratio*t0 - t0
 	}
-	ia := bi.IntOneMinusFPowBatch(t0s, 1)
-	iw := bi.IntOneMinusFPowBatch(ws, 1)
-	pb, hasProdBoth := m.(ProdBothIntegrals)
+	ia := k.IntOneMinusFPowBatch(t0s, 1)
+	iw := k.IntOneMinusFPowBatch(ws, 1)
 	for i, t0 := range t0s {
 		p := DelayedParams{T0: t0, TInf: ratio * t0}
 		if p.Validate() != nil {
 			out[i] = math.Inf(1)
 			continue
 		}
-		q := 1 - m.Ftilde(p.TInf)
+		q := 1 - k.Ftilde(p.TInf)
 		if q >= 1 {
 			out[i] = math.Inf(1)
 			continue
 		}
-		var c float64
-		if hasProdBoth {
-			c, _ = pb.IntProdBothOneMinusF(ws[i], t0)
-		} else {
-			c = m.IntProdOneMinusF(ws[i], t0)
-		}
+		c, _ := k.IntProdBothOneMinusF(ws[i], t0)
 		d := ia[i] - iw[i]
 		out[i] = ia[i] + (c+q*d)/(1-q)
 	}
@@ -436,25 +425,21 @@ func OptimizeDelayed(m Model) (DelayedParams, Evaluation) {
 // (<= 0 means all cores; results are identical for every count).
 func OptimizeDelayedCtx(ctx context.Context, m Model, workers int) (DelayedParams, Evaluation, error) {
 	ub := m.UpperBound()
+	k := kernelsOf(m)
 	obj := func(t0, ratio float64) float64 {
 		if ctx.Err() != nil {
 			return math.Inf(1)
 		}
 		return EJDelayed(m, DelayedParams{T0: t0, TInf: ratio * t0})
 	}
-	var r optimize.Result2D
-	if bi, ok := m.(BatchIntegrals); ok {
-		// Row-sweep mode: one kernel sweep per grid row (fixed t0).
-		frow := func(t0 float64, ratios []float64) []float64 {
-			if ctx.Err() != nil {
-				return infSlice(len(ratios))
-			}
-			return ejDelayedRow(m, bi, t0, ratios)
+	// Row-sweep mode: one kernel sweep per grid row (fixed t0).
+	frow := func(t0 float64, ratios []float64) []float64 {
+		if ctx.Err() != nil {
+			return infSlice(len(ratios))
 		}
-		r = optimize.MinimizeRobust2DSweep(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
-	} else {
-		r = optimize.MinimizeRobust2DPar(obj, ub*1e-3, ub/2, 1.0005, 2.0, workers)
+		return ejDelayedRow(k, t0, ratios)
 	}
+	r := optimize.MinimizeRobust2D(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
 	if err := ctx.Err(); err != nil {
 		return DelayedParams{}, Evaluation{}, err
 	}
@@ -496,24 +481,14 @@ func OptimizeDelayedRatioCtx(ctx context.Context, m Model, ratio float64, worker
 		return DelayedParams{}, Evaluation{}, fmt.Errorf("core: delayed ratio must be in (1, 2], got %v", ratio)
 	}
 	ub := m.UpperBound()
-	var r optimize.Result1D
-	if bi, ok := m.(BatchIntegrals); ok {
-		fb := func(t0s []float64) []float64 {
-			if ctx.Err() != nil {
-				return infSlice(len(t0s))
-			}
-			return ejDelayedRatioBatch(m, bi, ratio, t0s)
+	k := kernelsOf(m)
+	fb := func(t0s []float64) []float64 {
+		if ctx.Err() != nil {
+			return infSlice(len(t0s))
 		}
-		r = optimize.GridScan1DSweep(fb, ub*1e-3, ub/2, 400, 4, workers)
-	} else {
-		obj := func(t0 float64) float64 {
-			if ctx.Err() != nil {
-				return math.Inf(1)
-			}
-			return EJDelayed(m, DelayedParams{T0: t0, TInf: ratio * t0})
-		}
-		r = optimize.GridScan1DPar(obj, ub*1e-3, ub/2, 400, 4, workers)
+		return ejDelayedRatioBatch(k, ratio, t0s)
 	}
+	r := optimize.GridScan1D(fb, ub*1e-3, ub/2, 400, 4, workers)
 	if err := ctx.Err(); err != nil {
 		return DelayedParams{}, Evaluation{}, err
 	}

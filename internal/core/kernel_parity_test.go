@@ -9,8 +9,9 @@ import (
 )
 
 // scalarOnly strips the optional BatchIntegrals / ProdBothIntegrals
-// extensions from a model by embedding the bare interface, forcing
-// every optimizer down the per-point scalar path.
+// extensions from a model by embedding the bare interface, so every
+// optimizer scans it through the pointwise adapter over its scalar
+// methods.
 type scalarOnly struct{ Model }
 
 func parityModel(t *testing.T, seed int64, rho float64) *EmpiricalModel {
@@ -30,8 +31,8 @@ func parityModel(t *testing.T, seed int64, rho float64) *EmpiricalModel {
 // TestBatchOptimizersMatchScalarPath is the cross-layer exactness gate
 // of the kernelized engine: every optimizer that detects
 // BatchIntegrals must return bit-identical results with the extension
-// hidden (per-point scalar kernels) and visible (swept batch kernels),
-// at several worker counts.
+// hidden (the pointwise adapter over the scalar kernels) and visible
+// (swept batch kernels), at several worker counts.
 func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 	ctx := context.Background()
 	for _, rho := range []float64{0, 0.17} {
@@ -112,6 +113,39 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 		}
 		if rb != rs {
 			t.Fatalf("OptimizeDelayedCost: batch %+v != scalar %+v", rb, rs)
+		}
+	}
+}
+
+// TestScalarOnlyOptimizersHonorCancellation: models without batch
+// kernels (a stripped empirical model, a quadrature-backed parametric
+// one) run through the pointwise adapter, and a pre-cancelled context
+// must still surface as context.Canceled from every optimizer.
+func TestScalarOnlyOptimizersHonorCancellation(t *testing.T) {
+	pm, err := NewParametricModel(stats.NewLogNormal(5.5, 0.8), 0.1, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for name, m := range map[string]Model{"scalarOnly": scalarOnly{parityModel(t, 42, 0.1)}, "parametric": pm} {
+		cc, err := NewCostContextCtx(context.Background(), m, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 4} {
+			if _, _, err := OptimizeMultipleCtx(ctx, m, 3, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeMultipleCtx err = %v, want context.Canceled", name, workers, err)
+			}
+			if _, _, err := OptimizeDelayedCtx(ctx, m, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedCtx err = %v, want context.Canceled", name, workers, err)
+			}
+			if _, _, err := OptimizeDelayedRatioCtx(ctx, m, 1.5, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedRatioCtx err = %v, want context.Canceled", name, workers, err)
+			}
+			if _, err := cc.OptimizeDelayedCostCtx(ctx, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedCostCtx err = %v, want context.Canceled", name, workers, err)
+			}
 		}
 	}
 }

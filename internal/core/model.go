@@ -67,20 +67,20 @@ type Model interface {
 	Sample(rng *rand.Rand) float64
 }
 
-// BatchIntegrals is an optional Model extension the grid-scan
-// optimizers detect with a type assertion: a model that can answer a
-// whole ascending grid of integral queries in one sweep (the ECDF
-// prefix-sum kernels answer G queries in O(n + G) instead of G
+// BatchIntegrals is an optional Model extension: a model that can
+// answer a whole ascending grid of integral queries in one sweep (the
+// ECDF prefix-sum kernels answer G queries in O(n + G) instead of G
 // separate O(n) walks). Batch results must be identical — bit for bit
-// — to the corresponding scalar methods at every entry, so detecting
-// the extension is purely a wall-clock optimization and never changes
-// an optimizer's answer.
+// — to the corresponding scalar methods at every entry. A model that
+// implements both BatchIntegrals and ProdBothIntegrals has the
+// optimizers scan through its own kernels; any other model is scanned
+// through a pointwise adapter over its scalar methods (see Pointwise),
+// so implementing the extensions is purely a wall-clock optimization
+// and never changes an optimizer's answer.
 type BatchIntegrals interface {
 	// IntOneMinusFPowBatch returns ∫₀ᵀ (1-F̃R(u))^b du for every T in Ts
 	// (ascending for the swept path).
 	IntOneMinusFPowBatch(Ts []float64, b int) []float64
-	// IntUOneMinusFPowBatch returns ∫₀ᵀ u·(1-F̃R(u))^b du for every T.
-	IntUOneMinusFPowBatch(Ts []float64, b int) []float64
 	// IntProdBothBatch returns both delayed cross terms for every T in
 	// Ts at a single shared shift — one merged walk for a whole grid
 	// row of the (t0, t∞) surface.
@@ -88,10 +88,60 @@ type BatchIntegrals interface {
 }
 
 // ProdBothIntegrals is an optional Model extension: both delayed
-// cross-term integrals from one merged walk. delayedMoments detects it
-// to halve its walk count; results must equal the two scalar methods.
+// cross-term integrals from one merged walk, halving the walk count of
+// every delayed-strategy evaluation. Results must equal the two scalar
+// methods. See BatchIntegrals for how the optimizers pick it up.
 type ProdBothIntegrals interface {
 	IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64)
+}
+
+// kernels is the integral surface every optimizer evaluates through: a
+// Model with both optional extensions.
+type kernels interface {
+	Model
+	BatchIntegrals
+	ProdBothIntegrals
+}
+
+// kernelsOf is the one place that decides how a model is scanned: m
+// itself when it brings its own batch and fused cross-term kernels,
+// otherwise the pointwise adapter over its scalar methods.
+func kernelsOf(m Model) kernels {
+	if k, ok := m.(kernels); ok {
+		return k
+	}
+	return pointwise{m}
+}
+
+// Pointwise returns m's batch and fused cross-term integrals answered
+// point by point through its scalar methods, in grid order — values
+// are the scalar values bit for bit. It is the adapter the optimizers
+// use for models without their own kernels; a wrapping model (such as
+// a memoizing cache) can use it to expose the extensions over its own
+// scalar methods.
+func Pointwise(m Model) BatchIntegrals { return pointwise{m} }
+
+type pointwise struct{ Model }
+
+func (p pointwise) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {
+	out := make([]float64, len(Ts))
+	for i, t := range Ts {
+		out[i] = p.IntOneMinusFPow(t, b)
+	}
+	return out
+}
+
+func (p pointwise) IntProdBothBatch(Ts []float64, shift float64) (plain, uweighted []float64) {
+	plain = make([]float64, len(Ts))
+	uweighted = make([]float64, len(Ts))
+	for i, t := range Ts {
+		plain[i], uweighted[i] = p.IntProdBothOneMinusF(t, shift)
+	}
+	return plain, uweighted
+}
+
+func (p pointwise) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
+	return p.IntProdOneMinusF(T, shift), p.IntUProdOneMinusF(T, shift)
 }
 
 // --- Empirical model ---
@@ -192,7 +242,9 @@ func (m *EmpiricalModel) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {
 	return m.dist.IntegralOneMinusFPowBatch(Ts, 1-m.rho, b)
 }
 
-// IntUOneMinusFPowBatch implements BatchIntegrals.
+// IntUOneMinusFPowBatch is the u-weighted companion of
+// IntOneMinusFPowBatch over the same prefix-sum kernel (no optimizer
+// consumes it, so it is not part of BatchIntegrals).
 func (m *EmpiricalModel) IntUOneMinusFPowBatch(Ts []float64, b int) []float64 {
 	return m.dist.IntegralUOneMinusFPowBatch(Ts, 1-m.rho, b)
 }

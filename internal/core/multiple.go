@@ -30,17 +30,18 @@ func EJMultiple(m Model, b int, tInf float64) float64 {
 }
 
 // ejMultipleBatch evaluates EJMultiple over an ascending timeout grid
-// through the model's batch kernels: one O(n+G) integral sweep instead
-// of G O(n) walks. Values are identical to per-point EJMultiple calls.
-func ejMultipleBatch(m Model, bi BatchIntegrals, b int, ts []float64) []float64 {
-	ints := bi.IntOneMinusFPowBatch(ts, b)
+// through the batch kernels: one O(n+G) integral sweep instead of G
+// O(n) walks for a kernel-backed model. Values are identical to
+// per-point EJMultiple calls.
+func ejMultipleBatch(k kernels, b int, ts []float64) []float64 {
+	ints := k.IntOneMinusFPowBatch(ts, b)
 	out := make([]float64, len(ts))
 	for i, t := range ts {
 		if t <= 0 {
 			out[i] = math.Inf(1)
 			continue
 		}
-		success := 1 - stats.PowInt(1-m.Ftilde(t), b)
+		success := 1 - stats.PowInt(1-k.Ftilde(t), b)
 		if success <= 0 {
 			out[i] = math.Inf(1)
 			continue
@@ -96,11 +97,8 @@ func OptimizeMultipleCtx(ctx context.Context, m Model, b int, workers int) (floa
 	if err := ValidateB(b); err != nil {
 		return 0, Evaluation{}, err
 	}
-	var evalBatch func(ts []float64) []float64
-	if bi, ok := m.(BatchIntegrals); ok {
-		evalBatch = func(ts []float64) []float64 { return ejMultipleBatch(m, bi, b, ts) }
-	}
-	r, err := optimizeTimeout(ctx, m, func(t float64) float64 { return EJMultiple(m, b, t) }, evalBatch, workers)
+	k := kernelsOf(m)
+	r, err := optimizeTimeout(ctx, m, func(ts []float64) []float64 { return ejMultipleBatch(k, b, ts) }, workers)
 	if err != nil {
 		return 0, Evaluation{}, err
 	}
@@ -122,16 +120,9 @@ func MultipleCurve(m Model, b int, hi float64, n int) (timeouts, ej []float64) {
 	for i := 0; i < n; i++ {
 		timeouts[i] = hi * float64(i+1) / float64(n)
 	}
-	// The curve grid is ascending, so a batch-capable model tabulates
+	// The curve grid is ascending, so a kernel-backed model tabulates
 	// the whole figure in one integral sweep.
-	if bi, ok := m.(BatchIntegrals); ok {
-		return timeouts, ejMultipleBatch(m, bi, b, timeouts)
-	}
-	ej = make([]float64, n)
-	for i, t := range timeouts {
-		ej[i] = EJMultiple(m, b, t)
-	}
-	return timeouts, ej
+	return timeouts, ejMultipleBatch(kernelsOf(m), b, timeouts)
 }
 
 // ValidateB checks the multiple-submission collection size.

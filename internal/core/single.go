@@ -63,19 +63,12 @@ func timeoutLowerBracket(m Model) float64 {
 }
 
 // optimizeTimeout scans EJ(t∞) for a fixed evaluator. Shared by the
-// single and multiple strategies. When ctx is cancelled the remaining
-// grid points short-circuit to +Inf and the context error is returned.
-// Each refinement round's grid is evaluated by up to `workers`
-// goroutines; the objective must therefore be safe for concurrent
-// calls (all Model implementations are).
-//
-// When evalBatch is non-nil (a BatchIntegrals-capable model) the scan
-// runs in sorted-query sweep mode: each refinement round's ascending
-// grid is answered by one kernel sweep per worker chunk instead of a
-// per-point evaluation. evalBatch must agree pointwise with eval, so
-// the two modes return identical results; cancellation is checked once
-// per chunk instead of once per point.
-func optimizeTimeout(ctx context.Context, m Model, eval func(tInf float64) float64, evalBatch func(ts []float64) []float64, workers int) (optimize.Result1D, error) {
+// single and multiple strategies. Each refinement round's ascending
+// grid is answered by one evalBatch call per worker chunk (up to
+// `workers` goroutines), so evalBatch must be pointwise and safe for
+// concurrent calls. When ctx is cancelled the remaining chunks
+// short-circuit to +Inf and the context error is returned.
+func optimizeTimeout(ctx context.Context, m Model, evalBatch func(ts []float64) []float64, workers int) (optimize.Result1D, error) {
 	lo := timeoutLowerBracket(m)
 	hi := m.UpperBound()
 	if !(lo < hi) {
@@ -83,34 +76,19 @@ func optimizeTimeout(ctx context.Context, m Model, eval func(tInf float64) float
 	}
 	// EJ(t∞) profiles are piecewise smooth but can be multimodal in
 	// b (Table 2 optima jump between basins), so grid-scan first.
-	var r optimize.Result1D
-	if evalBatch != nil {
-		fb := func(ts []float64) []float64 {
-			if ctx.Err() != nil {
-				return infSlice(len(ts))
-			}
-			vs := evalBatch(ts)
-			for i, v := range vs {
-				if math.IsNaN(v) {
-					vs[i] = math.Inf(1)
-				}
-			}
-			return vs
+	fb := func(ts []float64) []float64 {
+		if ctx.Err() != nil {
+			return infSlice(len(ts))
 		}
-		r = optimize.GridScan1DSweep(fb, lo, hi, 400, 4, workers)
-	} else {
-		obj := func(t float64) float64 {
-			if ctx.Err() != nil {
-				return math.Inf(1)
-			}
-			v := eval(t)
+		vs := evalBatch(ts)
+		for i, v := range vs {
 			if math.IsNaN(v) {
-				return math.Inf(1)
+				vs[i] = math.Inf(1)
 			}
-			return v
 		}
-		r = optimize.GridScan1DPar(obj, lo, hi, 400, 4, workers)
+		return vs
 	}
+	r := optimize.GridScan1D(fb, lo, hi, 400, 4, workers)
 	if err := ctx.Err(); err != nil {
 		return optimize.Result1D{}, err
 	}

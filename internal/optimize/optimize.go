@@ -216,61 +216,23 @@ func ParallelFor(n, workers int, body func(i int)) {
 	wg.Wait()
 }
 
-// GridScan1D minimizes f over [a, b] by evaluating n+1 uniformly
-// spaced points and then refining around the best point with `refine`
-// further rounds, each shrinking the window by the grid spacing. It is
-// robust to multimodality (up to grid resolution), which matters for
-// the paper's EJ(t∞) profiles whose optimum can jump between local
-// minima as b changes (Table 2 shows exactly such jumps).
-func GridScan1D(f func(float64) float64, a, b float64, n, refine int) Result1D {
-	return GridScan1DPar(f, a, b, n, refine, 1)
-}
-
-// GridScan1DPar is GridScan1D with each round's grid evaluated by up
-// to `workers` goroutines (<= 0 means all cores). f must be safe for
-// concurrent calls when workers > 1. Results are bit-identical for
-// every worker count: the grid points are fixed per round and the
-// incumbent reduction always runs sequentially in index order.
-func GridScan1DPar(f func(float64) float64, a, b float64, n, refine, workers int) Result1D {
-	if !(a < b) || n < 2 {
-		panic(fmt.Sprintf("optimize: invalid grid scan [%v, %v] n=%d", a, b, n))
-	}
-	workers = Workers(workers)
-	evals := 0
-	bestX, bestF := a, math.Inf(1)
-	lo, hi := a, b
-	vals := make([]float64, n+1)
-	for round := 0; round <= refine; round++ {
-		h := (hi - lo) / float64(n)
-		ParallelFor(n+1, workers, func(i int) {
-			vals[i] = f(lo + float64(i)*h)
-		})
-		evals += n + 1
-		for i := 0; i <= n; i++ {
-			x := lo + float64(i)*h
-			if v := vals[i]; v < bestF || (v == bestF && x < bestX) {
-				bestX, bestF = x, v
-			}
-		}
-		lo = math.Max(a, bestX-h)
-		hi = math.Min(b, bestX+h)
-		if hi <= lo {
-			break
-		}
-	}
-	return Result1D{X: bestX, F: bestF, Evals: evals}
-}
-
-// GridScan1DSweep is GridScan1D in sorted-query sweep mode: instead of
-// one objective call per grid point, each refinement round hands the
-// whole ascending grid to fb in contiguous chunks (one chunk per
-// worker), so batch-capable objectives — the ECDF prefix-sum kernels —
-// can answer a round in one O(n + G) sweep. fb must be pointwise
-// (fb(xs)[i] depends only on xs[i]) and, with workers != 1, safe for
-// concurrent calls; under those contracts the returned result is
-// bit-identical to GridScan1DPar over the equivalent scalar objective
-// at every worker count.
-func GridScan1DSweep(fb func(xs []float64) []float64, a, b float64, n, refine, workers int) Result1D {
+// GridScan1D minimizes over [a, b] by evaluating n+1 uniformly spaced
+// points and then refining around the best point with `refine` further
+// rounds, each shrinking the window by the grid spacing. It is robust
+// to multimodality (up to grid resolution), which matters for the
+// paper's EJ(t∞) profiles whose optimum can jump between local minima
+// as b changes (Table 2 shows exactly such jumps).
+//
+// The objective is a sorted-query sweep: each round hands its whole
+// ascending grid to fb in contiguous chunks (one chunk per worker, up
+// to `workers` goroutines, <= 0 meaning all cores), so batch-capable
+// objectives — the ECDF prefix-sum kernels — answer a round in one
+// O(n + G) sweep. fb must be pointwise (fb(xs)[i] depends only on
+// xs[i]) and, with workers != 1, safe for concurrent calls. Results are
+// bit-identical for every worker count: the grid points are fixed per
+// round and the incumbent reduction always runs sequentially in index
+// order.
+func GridScan1D(fb func(xs []float64) []float64, a, b float64, n, refine, workers int) Result1D {
 	if !(a < b) || n < 2 {
 		panic(fmt.Sprintf("optimize: invalid grid scan [%v, %v] n=%d", a, b, n))
 	}
@@ -321,65 +283,18 @@ func GridScan1DSweep(fb func(xs []float64) []float64, a, b float64, n, refine, w
 	return Result1D{X: bestX, F: bestF, Evals: evals}
 }
 
-// GridScan2D minimizes f over the rectangle [ax, bx] × [ay, by] with
-// an (nx+1) × (ny+1) scan refined `refine` times around the incumbent.
-func GridScan2D(f func(x, y float64) float64, ax, bx, ay, by float64, nx, ny, refine int) Result2D {
-	return GridScan2DPar(f, ax, bx, ay, by, nx, ny, refine, 1)
-}
-
-// GridScan2DPar is GridScan2D with each round's rows fanned across up
-// to `workers` goroutines (<= 0 means all cores). f must be safe for
-// concurrent calls when workers > 1; results are bit-identical for
-// every worker count (sequential row-major reduction).
-func GridScan2DPar(f func(x, y float64) float64, ax, bx, ay, by float64, nx, ny, refine, workers int) Result2D {
-	if !(ax < bx) || !(ay < by) || nx < 2 || ny < 2 {
-		panic(fmt.Sprintf("optimize: invalid 2D grid scan [%v,%v]x[%v,%v]", ax, bx, ay, by))
-	}
-	workers = Workers(workers)
-	evals := 0
-	bestX, bestY, bestF := ax, ay, math.Inf(1)
-	lox, hix, loy, hiy := ax, bx, ay, by
-	vals := make([]float64, (nx+1)*(ny+1))
-	for round := 0; round <= refine; round++ {
-		hx := (hix - lox) / float64(nx)
-		hy := (hiy - loy) / float64(ny)
-		ParallelFor(nx+1, workers, func(i int) {
-			x := lox + float64(i)*hx
-			for j := 0; j <= ny; j++ {
-				vals[i*(ny+1)+j] = f(x, loy+float64(j)*hy)
-			}
-		})
-		evals += (nx + 1) * (ny + 1)
-		for i := 0; i <= nx; i++ {
-			for j := 0; j <= ny; j++ {
-				if v := vals[i*(ny+1)+j]; v < bestF {
-					bestX, bestY, bestF = lox+float64(i)*hx, loy+float64(j)*hy, v
-				}
-			}
-		}
-		lox = math.Max(ax, bestX-hx)
-		hix = math.Min(bx, bestX+hx)
-		loy = math.Max(ay, bestY-hy)
-		hiy = math.Min(by, bestY+hy)
-		if hix <= lox || hiy <= loy {
-			break
-		}
-	}
-	return Result2D{X: bestX, Y: bestY, F: bestF, Evals: evals}
-}
-
-// GridScan2DSweep is GridScan2D in row-sweep mode: each grid row
-// (fixed x, the full ascending y grid) is answered by one frow call,
-// and rows fan across up to `workers` goroutines. This is the natural
-// shape for the delayed-resubmission surface, where a whole row shares
-// one shift = t0 and the ECDF cross-term kernel can answer the row in
-// a single merged walk. frow must be pointwise per row (result j
-// depends only on (x, ys[j])), must not retain or modify ys, and must
-// be safe for concurrent calls when workers != 1; the reduction is the
-// same sequential row-major pass as GridScan2DPar, so results are
-// bit-identical to it over the equivalent scalar objective at every
-// worker count.
-func GridScan2DSweep(frow func(x float64, ys []float64) []float64, ax, bx, ay, by float64, nx, ny, refine, workers int) Result2D {
+// gridScan2D minimizes over the rectangle [ax, bx] × [ay, by] with an
+// (nx+1) × (ny+1) scan refined `refine` times around the incumbent.
+// Each grid row (fixed x, the full ascending y grid) is answered by one
+// frow call, and rows fan across up to `workers` goroutines. This is
+// the natural shape for the delayed-resubmission surface, where a
+// whole row shares one shift = t0 and the ECDF cross-term kernel can
+// answer the row in a single merged walk. frow must be pointwise per
+// row (result j depends only on (x, ys[j])), must not retain or modify
+// ys, and must be safe for concurrent calls when workers != 1; the
+// reduction is a sequential row-major pass, so results are
+// bit-identical at every worker count.
+func gridScan2D(frow func(x float64, ys []float64) []float64, ax, bx, ay, by float64, nx, ny, refine, workers int) Result2D {
 	if !(ax < bx) || !(ay < by) || nx < 2 || ny < 2 {
 		panic(fmt.Sprintf("optimize: invalid 2D grid scan [%v,%v]x[%v,%v]", ax, bx, ay, by))
 	}
@@ -516,31 +431,13 @@ func nelderMeadOnce(f func(x, y float64) float64, x0, y0, scale, tol float64, ma
 
 // MinimizeRobust2D combines a coarse grid scan with a Nelder–Mead
 // polish: the scan locates the basin, the simplex refines within it.
-// This is the default optimizer for EJ(t0, t∞).
-func MinimizeRobust2D(f func(x, y float64) float64, ax, bx, ay, by float64) Result2D {
-	return MinimizeRobust2DPar(f, ax, bx, ay, by, 1)
-}
-
-// MinimizeRobust2DPar is MinimizeRobust2D with the coarse scan fanned
-// across up to `workers` goroutines; the (cheap) simplex polish stays
-// sequential, so results are bit-identical for every worker count.
-func MinimizeRobust2DPar(f func(x, y float64) float64, ax, bx, ay, by float64, workers int) Result2D {
-	coarse := GridScan2DPar(f, ax, bx, ay, by, 40, 40, 2, workers)
-	return robustPolish(f, coarse, ax, bx, ay, by)
-}
-
-// MinimizeRobust2DSweep is MinimizeRobust2D with the coarse scan in
-// row-sweep mode (see GridScan2DSweep) and the Nelder–Mead polish on
-// the scalar objective f. frow must agree pointwise with f; under that
-// contract the result is bit-identical to MinimizeRobust2DPar.
-func MinimizeRobust2DSweep(f func(x, y float64) float64, frow func(x float64, ys []float64) []float64, ax, bx, ay, by float64, workers int) Result2D {
-	coarse := GridScan2DSweep(frow, ax, bx, ay, by, 40, 40, 2, workers)
-	return robustPolish(f, coarse, ax, bx, ay, by)
-}
-
-// robustPolish runs the shared Nelder–Mead refinement step of the
-// MinimizeRobust2D family and keeps the better of scan and polish.
-func robustPolish(f func(x, y float64) float64, coarse Result2D, ax, bx, ay, by float64) Result2D {
+// This is the default optimizer for EJ(t0, t∞). The coarse scan runs
+// in row-sweep mode over frow (see gridScan2D), fanned across up to
+// `workers` goroutines; the (cheap) simplex polish runs sequentially
+// on the scalar objective f, so results are bit-identical for every
+// worker count. frow must agree pointwise with f.
+func MinimizeRobust2D(f func(x, y float64) float64, frow func(x float64, ys []float64) []float64, ax, bx, ay, by float64, workers int) Result2D {
+	coarse := gridScan2D(frow, ax, bx, ay, by, 40, 40, 2, workers)
 	scale := math.Max((bx-ax)/80, (by-ay)/80)
 	polish := NelderMead(f, coarse.X, coarse.Y, scale, 1e-9, 300)
 	polish.Evals += coarse.Evals

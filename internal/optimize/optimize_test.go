@@ -54,7 +54,7 @@ func TestGridScan1DMultimodal(t *testing.T) {
 	f := func(x float64) float64 {
 		return -1*math.Exp(-(x-2)*(x-2)) - 3*math.Exp(-(x-7)*(x-7))
 	}
-	r := GridScan1D(f, 0, 10, 100, 3)
+	r := GridScan1D(pointwise(f), 0, 10, 100, 3, 1)
 	if math.Abs(r.X-7) > 0.01 {
 		t.Fatalf("argmin %v, want ~7", r.X)
 	}
@@ -68,7 +68,7 @@ func TestGridScan1DPlateauInf(t *testing.T) {
 		}
 		return (x - 5) * (x - 5)
 	}
-	r := GridScan1D(f, 0, 10, 50, 4)
+	r := GridScan1D(pointwise(f), 0, 10, 50, 4, 1)
 	if math.Abs(r.X-5) > 0.01 {
 		t.Fatalf("argmin %v, want 5", r.X)
 	}
@@ -140,7 +140,7 @@ func TestGoldenSectionIncumbentProperty(t *testing.T) {
 			seenB = append(seenB, v)
 			return v
 		}, 0, 10, 1e-9)
-		s := GridScan1D(obj, 0, 10, 400, 4)
+		s := GridScan1D(pointwise(obj), 0, 10, 400, 4, 1)
 		// The grid scan always lands in the window (w >= 0.05 > 10/400).
 		if math.IsInf(s.F, 1) {
 			return false
@@ -152,10 +152,10 @@ func TestGoldenSectionIncumbentProperty(t *testing.T) {
 	}
 }
 
-// TestGridScanParDeterminism pins the parallel scans bit-identical to
-// the sequential ones for several worker counts, on a multimodal
-// objective with plateau ties (the tie-break path must reduce in the
-// same order regardless of scheduling).
+// TestGridScanParDeterminism pins every scan bit-identical across
+// worker counts on a multimodal objective with plateau ties (the
+// tie-break path must reduce in the same order regardless of
+// scheduling and chunking).
 func TestGridScanParDeterminism(t *testing.T) {
 	f1 := func(x float64) float64 {
 		if x > 3 && x < 4 {
@@ -163,21 +163,21 @@ func TestGridScanParDeterminism(t *testing.T) {
 		}
 		return math.Cos(3*x) + x*x/40
 	}
-	want1 := GridScan1D(f1, 0, 10, 97, 3)
+	want1 := GridScan1D(pointwise(f1), 0, 10, 97, 3, 1)
 	f2 := func(x, y float64) float64 {
 		return math.Cos(3*x)*math.Sin(2*y) + (x*x+y*y)/50
 	}
-	want2 := GridScan2D(f2, -5, 5, -5, 5, 31, 29, 3)
-	wantR := MinimizeRobust2D(f2, -5, 5, -5, 5)
+	want2 := gridScan2D(rowwise(f2), -5, 5, -5, 5, 31, 29, 3, 1)
+	wantR := MinimizeRobust2D(f2, rowwise(f2), -5, 5, -5, 5, 1)
 	for _, workers := range []int{0, 2, 3, 8} {
-		if got := GridScan1DPar(f1, 0, 10, 97, 3, workers); got != want1 {
-			t.Fatalf("GridScan1DPar(workers=%d) = %+v, want %+v", workers, got, want1)
+		if got := GridScan1D(pointwise(f1), 0, 10, 97, 3, workers); got != want1 {
+			t.Fatalf("GridScan1D(workers=%d) = %+v, want %+v", workers, got, want1)
 		}
-		if got := GridScan2DPar(f2, -5, 5, -5, 5, 31, 29, 3, workers); got != want2 {
-			t.Fatalf("GridScan2DPar(workers=%d) = %+v, want %+v", workers, got, want2)
+		if got := gridScan2D(rowwise(f2), -5, 5, -5, 5, 31, 29, 3, workers); got != want2 {
+			t.Fatalf("gridScan2D(workers=%d) = %+v, want %+v", workers, got, want2)
 		}
-		if got := MinimizeRobust2DPar(f2, -5, 5, -5, 5, workers); got != wantR {
-			t.Fatalf("MinimizeRobust2DPar(workers=%d) = %+v, want %+v", workers, got, wantR)
+		if got := MinimizeRobust2D(f2, rowwise(f2), -5, 5, -5, 5, workers); got != wantR {
+			t.Fatalf("MinimizeRobust2D(workers=%d) = %+v, want %+v", workers, got, wantR)
 		}
 	}
 }
@@ -186,7 +186,7 @@ func TestGridScan2D(t *testing.T) {
 	f := func(x, y float64) float64 {
 		return (x-1.5)*(x-1.5) + (y+2.5)*(y+2.5)
 	}
-	r := GridScan2D(f, -10, 10, -10, 10, 30, 30, 4)
+	r := gridScan2D(rowwise(f), -10, 10, -10, 10, 30, 30, 4, 1)
 	if math.Abs(r.X-1.5) > 0.01 || math.Abs(r.Y+2.5) > 0.01 {
 		t.Fatalf("argmin (%v, %v)", r.X, r.Y)
 	}
@@ -223,7 +223,7 @@ func TestMinimizeRobust2D(t *testing.T) {
 		return -2*math.Exp(-((x-7)*(x-7)+(y-3)*(y-3))/4) -
 			1*math.Exp(-((x-2)*(x-2)+(y-8)*(y-8))/4)
 	}
-	r := MinimizeRobust2D(f, 0, 10, 0, 10)
+	r := MinimizeRobust2D(f, rowwise(f), 0, 10, 0, 10, 1)
 	if math.Abs(r.X-7) > 0.05 || math.Abs(r.Y-3) > 0.05 {
 		t.Fatalf("argmin (%v, %v), want (7, 3)", r.X, r.Y)
 	}
@@ -235,7 +235,7 @@ func TestOptimizerFindsQuadraticMinProperty(t *testing.T) {
 		obj := func(x float64) float64 { return (x - c) * (x - c) }
 		g := GoldenSection(obj, 0, 10, 1e-10)
 		b := Brent(obj, 0, 10, 1e-10)
-		s := GridScan1D(obj, 0, 10, 64, 5)
+		s := GridScan1D(pointwise(obj), 0, 10, 64, 5, 1)
 		return math.Abs(g.X-c) < 1e-6 && math.Abs(b.X-c) < 1e-6 && math.Abs(s.X-c) < 1e-3
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -249,8 +249,10 @@ func TestPanicsOnBadInput(t *testing.T) {
 	for _, fn := range []func(){
 		func() { GoldenSection(id, 5, 5, 1e-8) },
 		func() { Brent(id, 2, 1, 1e-8) },
-		func() { GridScan1D(id, 0, 1, 1, 0) },
-		func() { GridScan2D(id2, 0, 0, 0, 1, 10, 10, 1) },
+		func() { GridScan1D(pointwise(id), 0, 1, 1, 0, 1) },
+		func() { GridScan1D(pointwise(id), 5, 1, 10, 1, 1) },
+		func() { gridScan2D(rowwise(id2), 0, 0, 0, 1, 10, 10, 1, 1) },
+		func() { gridScan2D(rowwise(id2), 1, 0, 0, 1, 10, 10, 1, 1) },
 		func() { NelderMead(id2, 0, 0, -1, 1e-8, 10) },
 	} {
 		func() {
@@ -287,9 +289,9 @@ func BenchmarkNelderMead(b *testing.B) {
 	}
 }
 
-// pointwiseWrap turns a scalar objective into the batch form the sweep
-// modes consume.
-func pointwiseWrap(f func(float64) float64) func(xs []float64) []float64 {
+// pointwise turns a scalar objective into the batch form GridScan1D
+// consumes, evaluating it point by point.
+func pointwise(f func(float64) float64) func(xs []float64) []float64 {
 	return func(xs []float64) []float64 {
 		out := make([]float64, len(xs))
 		for i, x := range xs {
@@ -299,11 +301,24 @@ func pointwiseWrap(f func(float64) float64) func(xs []float64) []float64 {
 	}
 }
 
-// TestGridScan1DSweepMatchesPar pins the sweep-mode contract: over a
-// pointwise batch objective, GridScan1DSweep returns exactly the
-// GridScan1DPar result at every worker count — including on a
-// multimodal objective with an +Inf plateau.
-func TestGridScan1DSweepMatchesPar(t *testing.T) {
+// rowwise turns a scalar 2-D objective into the row form gridScan2D and
+// MinimizeRobust2D consume.
+func rowwise(f func(x, y float64) float64) func(x float64, ys []float64) []float64 {
+	return func(x float64, ys []float64) []float64 {
+		out := make([]float64, len(ys))
+		for j, y := range ys {
+			out[j] = f(x, y)
+		}
+		return out
+	}
+}
+
+// TestGridScan1DWorkerInvariance pins the chunked sweep: over a
+// pointwise objective, GridScan1D returns the same result — argmin,
+// value and evaluation count — at every worker count, i.e. however the
+// rounds are split into chunks, including on a multimodal objective
+// with an +Inf plateau.
+func TestGridScan1DWorkerInvariance(t *testing.T) {
 	objs := []func(float64) float64{
 		func(x float64) float64 { return (x - 3.7) * (x - 3.7) },
 		func(x float64) float64 { return math.Cos(3*x) + x/10 },
@@ -315,66 +330,33 @@ func TestGridScan1DSweepMatchesPar(t *testing.T) {
 		},
 	}
 	for oi, f := range objs {
-		want := GridScan1DPar(f, 0, 10, 57, 3, 1)
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := GridScan1DSweep(pointwiseWrap(f), 0, 10, 57, 3, workers)
-			if got.X != want.X || got.F != want.F || got.Evals != want.Evals {
-				t.Fatalf("obj %d workers %d: sweep %+v != par %+v", oi, workers, got, want)
+		want := GridScan1D(pointwise(f), 0, 10, 57, 3, 1)
+		for _, workers := range []int{2, 3, 8} {
+			if got := GridScan1D(pointwise(f), 0, 10, 57, 3, workers); got != want {
+				t.Fatalf("obj %d workers %d: %+v != sequential %+v", oi, workers, got, want)
 			}
 		}
 	}
 }
 
-// TestGridScan2DSweepMatchesPar pins the 2D row-sweep contract against
-// GridScan2DPar, including the MinimizeRobust2DSweep composition.
-func TestGridScan2DSweepMatchesPar(t *testing.T) {
+// TestGridScan2DWorkerInvariance pins the 2-D row sweep and the
+// MinimizeRobust2D composition across worker counts on the
+// delayed-constraint shape (+Inf above y = 2x).
+func TestGridScan2DWorkerInvariance(t *testing.T) {
 	f := func(x, y float64) float64 {
 		if y > 2*x {
 			return math.Inf(1) // the delayed-constraint shape
 		}
 		return (x-3)*(x-3) + math.Abs(y-1.4) + math.Sin(x*y)/5
 	}
-	frow := func(x float64, ys []float64) []float64 {
-		out := make([]float64, len(ys))
-		for j, y := range ys {
-			out[j] = f(x, y)
+	want := gridScan2D(rowwise(f), 0.1, 8, 0.2, 2, 33, 21, 2, 1)
+	wantR := MinimizeRobust2D(f, rowwise(f), 0.1, 8, 0.2, 2, 1)
+	for _, workers := range []int{2, 3, 8} {
+		if got := gridScan2D(rowwise(f), 0.1, 8, 0.2, 2, 33, 21, 2, workers); got != want {
+			t.Fatalf("workers %d: 2D scan %+v != sequential %+v", workers, got, want)
 		}
-		return out
-	}
-	want := GridScan2DPar(f, 0.1, 8, 0.2, 2, 33, 21, 2, 1)
-	for _, workers := range []int{1, 2, 5} {
-		got := GridScan2DSweep(frow, 0.1, 8, 0.2, 2, 33, 21, 2, workers)
-		if got != want {
-			t.Fatalf("workers %d: 2D sweep %+v != par %+v", workers, got, want)
+		if got := MinimizeRobust2D(f, rowwise(f), 0.1, 8, 0.2, 2, workers); got != wantR {
+			t.Fatalf("workers %d: robust %+v != sequential %+v", workers, got, wantR)
 		}
-	}
-	wantR := MinimizeRobust2DPar(f, 0.1, 8, 0.2, 2, 1)
-	for _, workers := range []int{1, 4} {
-		gotR := MinimizeRobust2DSweep(f, frow, 0.1, 8, 0.2, 2, workers)
-		if gotR != wantR {
-			t.Fatalf("workers %d: robust sweep %+v != par %+v", workers, gotR, wantR)
-		}
-	}
-}
-
-// TestGridScan1DSweepPanicsLikePar keeps the sweep's precondition
-// surface aligned with the scalar scans.
-func TestGridScan1DSweepPanicsLikePar(t *testing.T) {
-	for _, fn := range []func(){
-		func() { GridScan1DSweep(pointwiseWrap(func(x float64) float64 { return x }), 5, 1, 10, 1, 1) },
-		func() { GridScan1DSweep(pointwiseWrap(func(x float64) float64 { return x }), 0, 1, 1, 1, 1) },
-		func() {
-			GridScan2DSweep(func(x float64, ys []float64) []float64 { return make([]float64, len(ys)) },
-				1, 0, 0, 1, 10, 10, 1, 1)
-		},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			fn()
-		}()
 	}
 }

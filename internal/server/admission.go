@@ -306,6 +306,28 @@ func (s *Server) batchStats() BatchStats {
 	}
 }
 
+// AddShardStats accumulates b into a, field by field (the stats
+// handler sums its shards with it, the router its fleet).
+func AddShardStats(a *ShardStats, b ShardStats) {
+	a.Models += b.Models
+	a.Hits += b.Hits
+	a.Misses += b.Misses
+	a.Evictions += b.Evictions
+	a.IngestBatches += b.IngestBatches
+	a.IngestRecords += b.IngestRecords
+	a.Rebuilds += b.Rebuilds
+	a.CoalescedBatches += b.CoalescedBatches
+	a.RebuildFailures += b.RebuildFailures
+	a.QueuedRecords += b.QueuedRecords
+	a.WALAppends += b.WALAppends
+	a.WALSnapshotBytes += b.WALSnapshotBytes
+	a.ReplayedRecords += b.ReplayedRecords
+	a.ResidentBytes += b.ResidentBytes
+	a.ModelsExact += b.ModelsExact
+	a.ModelsSketch += b.ModelsSketch
+	a.Demotions += b.Demotions
+}
+
 // AddBatchStats accumulates b into a, field by field (the router uses
 // it to sum fleet totals).
 func AddBatchStats(a *BatchStats, b BatchStats) {

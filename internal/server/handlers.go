@@ -194,23 +194,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	shards := s.reg.Stats()
 	var totals ShardStats
 	for _, sh := range shards {
-		totals.Models += sh.Models
-		totals.Hits += sh.Hits
-		totals.Misses += sh.Misses
-		totals.Evictions += sh.Evictions
-		totals.IngestBatches += sh.IngestBatches
-		totals.IngestRecords += sh.IngestRecords
-		totals.Rebuilds += sh.Rebuilds
-		totals.CoalescedBatches += sh.CoalescedBatches
-		totals.RebuildFailures += sh.RebuildFailures
-		totals.QueuedRecords += sh.QueuedRecords
-		totals.WALAppends += sh.WALAppends
-		totals.WALSnapshotBytes += sh.WALSnapshotBytes
-		totals.ReplayedRecords += sh.ReplayedRecords
-		totals.ResidentBytes += sh.ResidentBytes
-		totals.ModelsExact += sh.ModelsExact
-		totals.ModelsSketch += sh.ModelsSketch
-		totals.Demotions += sh.Demotions
+		AddShardStats(&totals, sh)
 	}
 	writeJSON(w, http.StatusOK, StatsResponse{
 		UptimeS:    time.Since(s.start).Seconds(),

@@ -57,6 +57,7 @@ type Entry struct {
 	qmu           sync.Mutex
 	queue         []trace.ProbeRecord // stamped records awaiting a rebuild
 	queuedBatches int
+	draining      int // records the drain in progress took off the queue
 	workerActive  bool
 	nextID        int     // next free probe-record ID
 	cursor        float64 // largest submit time across window + queue
@@ -351,7 +352,7 @@ func (e *Entry) closeWAL() {
 func (e *Entry) Pending() int {
 	e.qmu.Lock()
 	defer e.qmu.Unlock()
-	return len(e.queue)
+	return len(e.queue) + e.draining
 }
 
 // countStatuses tallies completed and outlier+fault records.
@@ -610,13 +611,7 @@ func (e *Entry) rebuildWorker() {
 	for {
 		time.Sleep(e.rebuildEvery)
 		e.ingestMu.Lock()
-		e.qmu.Lock()
-		recs, batches := e.queue, e.queuedBatches
-		e.queue, e.queuedBatches = nil, 0
-		e.qmu.Unlock()
-		if len(recs) > 0 {
-			_, _, _ = e.rebuildLocked(recs, batches) // failure keeps the last good model; counted
-		}
+		_, _, _ = e.drainLocked() // failure keeps the last good model; counted
 		e.ingestMu.Unlock()
 
 		e.qmu.Lock()
@@ -640,13 +635,27 @@ func (e *Entry) rebuildWorker() {
 func (e *Entry) Flush() (*ModelState, int, error) {
 	e.ingestMu.Lock()
 	defer e.ingestMu.Unlock()
+	return e.drainLocked()
+}
+
+// drainLocked rebuilds with every queued record. Caller holds ingestMu.
+// The drained records stay counted by Pending until the rebuild has
+// published its snapshot (or failed), so the ingest lag never reads 0
+// while acknowledged records are in no snapshot.
+func (e *Entry) drainLocked() (*ModelState, int, error) {
 	e.qmu.Lock()
 	recs, batches := e.queue, e.queuedBatches
 	e.queue, e.queuedBatches = nil, 0
+	e.draining = len(recs)
 	e.qmu.Unlock()
 	if len(recs) == 0 {
 		return e.state.Load(), 0, nil
 	}
+	defer func() {
+		e.qmu.Lock()
+		e.draining = 0
+		e.qmu.Unlock()
+	}()
 	return e.rebuildLocked(recs, batches)
 }
 

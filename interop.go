@@ -22,16 +22,6 @@ type DeadlineReport = core.DeadlineReport
 // DeadlineEntry is one strategy's deadline performance.
 type DeadlineEntry = core.DeadlineEntry
 
-// CompareDeadline evaluates the deadline-hit probability and the 95th
-// percentile of the total latency under the optimized single, b-fold
-// multiple and delayed strategies.
-//
-// Deprecated: build a Planner with NewPlanner(m, WithDeadline(deadline),
-// WithCollectionSize(b)) and call its CompareDeadline method.
-func CompareDeadline(m Model, deadline float64, b int) (DeadlineReport, error) {
-	return core.CompareDeadline(m, deadline, b)
-}
-
 // QuantileJ inverts a strategy CDF (from SingleCDF, MultipleCDF or
 // DelayedCDF): the smallest t with P(J <= t) >= p.
 func QuantileJ(cdf func(float64) float64, p, hint float64) float64 {

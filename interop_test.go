@@ -43,7 +43,11 @@ func TestGWFFacadeRoundTrip(t *testing.T) {
 
 func TestCompareDeadlineFacade(t *testing.T) {
 	m := refModel(t)
-	rep, err := CompareDeadline(m, 900, 3)
+	p, err := NewPlanner(m, WithDeadline(900), WithCollectionSize(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := p.CompareDeadline()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,8 +71,11 @@ func TestCompareDeadlineFacade(t *testing.T) {
 func TestMakespanFacade(t *testing.T) {
 	m := refModel(t)
 	app := Application{Tasks: 200, WaveWidth: 50, Runtime: 60}
-	ests, err := CompareMakespan(app,
-		NewSingleStrategy(m), NewMultipleStrategy(m, 4), NewDelayedStrategy(m))
+	p, err := NewPlanner(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, err := p.CompareMakespan(app, Single{}, Multiple{B: 4}, Delayed{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +85,11 @@ func TestMakespanFacade(t *testing.T) {
 	if !(ests[1].Makespan < ests[0].Makespan) {
 		t.Fatal("b=4 should beat single on makespan")
 	}
-	b, est, err := SmallestMeetingDeadline(m, app, ests[1].Makespan*1.01, 8)
+	sizer, err := NewPlanner(m, WithDeadline(ests[1].Makespan*1.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, est, err := sizer.SmallestCollection(app, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -621,6 +621,12 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 // memoLimit entries each (each map is reset wholesale when full).
 type memoModel struct {
 	base Model
+	// BatchIntegrals keeps the swept grid scans available behind the
+	// memo layer: the base model's own kernels when it has them
+	// (identical to the scalar values, so bypassing the memo maps is
+	// safe), otherwise core.Pointwise over the memo itself, so every
+	// grid point is a memoized scalar lookup.
+	core.BatchIntegrals
 
 	mu     sync.Mutex
 	ftilde map[float64]float64
@@ -650,7 +656,7 @@ func newMemoModel(m Model) *memoModel {
 	if mm, ok := m.(*memoModel); ok {
 		return mm
 	}
-	return &memoModel{
+	mm := &memoModel{
 		base:   m,
 		ftilde: make(map[float64]float64),
 		pow:    make(map[powKey]float64),
@@ -658,6 +664,12 @@ func newMemoModel(m Model) *memoModel {
 		prod:   make(map[prodKey]float64),
 		uprod:  make(map[prodKey]float64),
 	}
+	if bi, ok := m.(core.BatchIntegrals); ok {
+		mm.BatchIntegrals = bi
+	} else {
+		mm.BatchIntegrals = core.Pointwise(mm)
+	}
+	return mm
 }
 
 func (m *memoModel) Ftilde(t float64) float64 {
@@ -682,52 +694,6 @@ func (m *memoModel) IntUOneMinusFPow(T float64, b int) float64 {
 		return m.base.IntUOneMinusFPow(T, b)
 	}
 	return cached(&m.mu, &m.upow, powKey{t: T, b: b}, func() float64 { return m.base.IntUOneMinusFPow(T, b) })
-}
-
-// IntOneMinusFPowBatch implements core.BatchIntegrals so the swept
-// grid scans stay available behind the Planner's memo layer: a
-// batch-capable base model answers the whole ascending grid in one
-// kernel sweep (identical to the scalar values, so bypassing the memo
-// maps is safe); any other base model falls back to the memoized
-// scalar method per point, keeping the memoization guarantees of
-// repeated Planner queries intact.
-func (m *memoModel) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {
-	if bi, ok := m.base.(core.BatchIntegrals); ok {
-		return bi.IntOneMinusFPowBatch(Ts, b)
-	}
-	out := make([]float64, len(Ts))
-	for i, t := range Ts {
-		out[i] = m.IntOneMinusFPow(t, b)
-	}
-	return out
-}
-
-// IntUOneMinusFPowBatch implements core.BatchIntegrals (see
-// IntOneMinusFPowBatch).
-func (m *memoModel) IntUOneMinusFPowBatch(Ts []float64, b int) []float64 {
-	if bi, ok := m.base.(core.BatchIntegrals); ok {
-		return bi.IntUOneMinusFPowBatch(Ts, b)
-	}
-	out := make([]float64, len(Ts))
-	for i, t := range Ts {
-		out[i] = m.IntUOneMinusFPow(t, b)
-	}
-	return out
-}
-
-// IntProdBothBatch implements core.BatchIntegrals (see
-// IntOneMinusFPowBatch).
-func (m *memoModel) IntProdBothBatch(Ts []float64, shift float64) (plain, uweighted []float64) {
-	if bi, ok := m.base.(core.BatchIntegrals); ok {
-		return bi.IntProdBothBatch(Ts, shift)
-	}
-	plain = make([]float64, len(Ts))
-	uweighted = make([]float64, len(Ts))
-	for i, t := range Ts {
-		plain[i] = m.IntProdOneMinusF(t, shift)
-		uweighted[i] = m.IntUProdOneMinusF(t, shift)
-	}
-	return plain, uweighted
 }
 
 // IntProdBothOneMinusF implements core.ProdBothIntegrals through the

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"gridstrat/internal/core"
+	"gridstrat/internal/workload"
 )
 
 // legacyRecommend is the seed's pre-Planner advisor algorithm, kept
@@ -202,6 +203,52 @@ func TestPlannerContextCancellation(t *testing.T) {
 	}
 }
 
+// scalarOnlyModel hides the optional batch and fused cross-term
+// extensions of the model it embeds, so the optimizers scan it through
+// the pointwise adapter.
+type scalarOnlyModel struct{ Model }
+
+// TestPlannerContextCancellationScalarOnly is the mid-flight deadline
+// check for a model without batch kernels: its scans run as pointwise
+// chunked sweeps, and a 5ms deadline must still abort a Recommend that
+// runs far longer uncancelled, at sequential and parallel execution.
+func TestPlannerContextCancellationScalarOnly(t *testing.T) {
+	m := scalarOnlyModel{refModel(t)}
+	if _, ok := Model(m).(BatchIntegrals); ok {
+		t.Fatal("scalarOnlyModel must hide the batch extension")
+	}
+	const deadline = 5 * time.Millisecond
+	full, err := NewPlanner(m, WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := full.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed < 10*deadline {
+		t.Fatalf("uncancelled Recommend took only %v; the deadline check below proves nothing", elapsed)
+	}
+	for _, par := range []int{1, 4} {
+		ctx, cancel := context.WithTimeout(context.Background(), deadline)
+		p, err := NewPlanner(m, WithParallelism(par), WithContext(ctx))
+		if err != nil {
+			cancel()
+			t.Fatal(err)
+		}
+		start := time.Now()
+		_, err = p.Recommend()
+		elapsed := time.Since(start)
+		cancel()
+		if err == nil {
+			t.Fatalf("parallelism %d: Recommend survived a 5ms deadline", par)
+		}
+		if elapsed > 2*time.Second {
+			t.Fatalf("parallelism %d: cancellation took %v", par, elapsed)
+		}
+	}
+}
+
 // TestPlannerOptions exercises the option validation surface.
 func TestPlannerOptions(t *testing.T) {
 	m := refModel(t)
@@ -351,7 +398,7 @@ func TestPlannerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CompareDeadline(m, 900, 3)
+	want, err := core.CompareDeadline(m, 900, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +447,7 @@ func TestPlannerMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := EstimateMakespan(app, NewMultipleStrategy(m, 4))
+	legacy, err := workload.EstimateMakespan(app, workload.MultipleStrategy(m, 4))
 	if err != nil {
 		t.Fatal(err)
 	}

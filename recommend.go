@@ -79,31 +79,3 @@ func (c ClassRecommendation) String() string {
 	return fmt.Sprintf("%s: %v — P(J<=%.0fs)=%.3f (target %.2f, %s)",
 		c.Policy.Class, c.Rec, c.Policy.Deadline, c.PHit, c.Policy.Target, verdict)
 }
-
-// Recommend picks the strategy with the smallest expected total
-// latency among those whose average parallel-copy count stays within
-// maxParallel (≥ 1).
-//
-// Deprecated: build a Planner with NewPlanner(m,
-// WithMaxParallel(maxParallel)) and call its Recommend method; the
-// Planner memoizes model evaluations across queries.
-func Recommend(m Model, maxParallel float64) (Recommendation, error) {
-	p, err := NewPlanner(m, WithMaxParallel(maxParallel))
-	if err != nil {
-		return Recommendation{}, err
-	}
-	return p.Recommend()
-}
-
-// RecommendCheapest returns the configuration minimizing Δcost — the
-// infrastructure-friendly choice of §7.
-//
-// Deprecated: build a Planner with NewPlanner(m) and call its
-// RecommendCheapest method.
-func RecommendCheapest(m Model) (Recommendation, error) {
-	p, err := NewPlanner(m)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	return p.RecommendCheapest()
-}

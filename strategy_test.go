@@ -103,10 +103,17 @@ func TestStrategyInvalidParams(t *testing.T) {
 	if _, err := SimulateMultiple(m, 0, 500, 10, rng); err == nil {
 		t.Fatal("SimulateMultiple(b=0) should fail")
 	}
-	if _, err := CompareDeadline(m, 900, 0); err == nil {
+	compareDeadline := func(deadline float64, b int) error {
+		p, err := NewPlanner(m, WithDeadline(deadline), WithCollectionSize(b))
+		if err == nil {
+			_, err = p.CompareDeadline()
+		}
+		return err
+	}
+	if err := compareDeadline(900, 0); err == nil {
 		t.Fatal("CompareDeadline(b=0) should fail")
 	}
-	if _, err := CompareDeadline(m, -5, 2); err == nil {
+	if err := compareDeadline(-5, 2); err == nil {
 		t.Fatal("negative deadline should fail")
 	}
 }

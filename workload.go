@@ -14,59 +14,6 @@ type Application = workload.Application
 // MakespanEstimate is the analytic makespan under one strategy.
 type MakespanEstimate = workload.MakespanEstimate
 
-// WorkloadStrategy wraps a strategy's total-latency law for makespan
-// estimation.
-//
-// Deprecated: pass a Strategy (Single, Multiple, Delayed) to the
-// Planner's makespan methods instead.
-type WorkloadStrategy = workload.Strategy
-
-// NewSingleStrategy builds the optimized single-resubmission law for
-// makespan estimation.
-//
-// Deprecated: use Planner.EstimateMakespanUnder / Planner.CompareMakespan
-// with Single{} — un-tuned strategies are optimized by the Planner
-// automatically.
-func NewSingleStrategy(m Model) WorkloadStrategy { return workload.SingleStrategy(m) }
-
-// NewMultipleStrategy builds the optimized b-fold multiple-submission
-// law for makespan estimation.
-//
-// Deprecated: use Planner.EstimateMakespanUnder / Planner.CompareMakespan
-// with Multiple{B: b}.
-func NewMultipleStrategy(m Model, b int) WorkloadStrategy { return workload.MultipleStrategy(m, b) }
-
-// NewDelayedStrategy builds the optimized delayed-resubmission law for
-// makespan estimation.
-//
-// Deprecated: use Planner.EstimateMakespanUnder / Planner.CompareMakespan
-// with Delayed{}.
-func NewDelayedStrategy(m Model) WorkloadStrategy { return workload.DelayedStrategy(m) }
-
-// EstimateMakespan computes the expected wall-clock time of an
-// application under a strategy (order-statistics wave model).
-//
-// Deprecated: use Planner.EstimateMakespan (recommended strategy) or
-// Planner.EstimateMakespanUnder (explicit strategy).
-func EstimateMakespan(a Application, s WorkloadStrategy) (MakespanEstimate, error) {
-	return workload.EstimateMakespan(a, s)
-}
-
-// CompareMakespan evaluates several strategies on one application.
-//
-// Deprecated: use Planner.CompareMakespan with Strategy values.
-func CompareMakespan(a Application, strategies ...WorkloadStrategy) ([]MakespanEstimate, error) {
-	return workload.Compare(a, strategies...)
-}
-
-// SmallestMeetingDeadline returns the smallest collection size b whose
-// analytic makespan meets the deadline (0 if none up to maxB).
-//
-// Deprecated: use Planner.SmallestCollection with WithDeadline.
-func SmallestMeetingDeadline(m Model, a Application, deadline float64, maxB int) (int, MakespanEstimate, error) {
-	return workload.SmallestMeetingDeadline(m, a, deadline, maxB)
-}
-
 // --- SLO-class planning ---
 
 // SLOClass is a planning-side SLO class, mirroring the admission
