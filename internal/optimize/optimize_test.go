@@ -250,9 +250,7 @@ func TestPanicsOnBadInput(t *testing.T) {
 		func() { GoldenSection(id, 5, 5, 1e-8) },
 		func() { Brent(id, 2, 1, 1e-8) },
 		func() { GridScan1D(pointwise(id), 0, 1, 1, 0, 1) },
-		func() { GridScan1D(pointwise(id), 5, 1, 10, 1, 1) },
 		func() { gridScan2D(rowwise(id2), 0, 0, 0, 1, 10, 10, 1, 1) },
-		func() { gridScan2D(rowwise(id2), 1, 0, 0, 1, 10, 10, 1, 1) },
 		func() { NelderMead(id2, 0, 0, -1, 1e-8, 10) },
 	} {
 		func() {
@@ -263,6 +261,30 @@ func TestPanicsOnBadInput(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestGridScan1DSweepPanicsLikePar pins the input checks of the swept
+// scans: a reversed bracket or too few grid points panics, at any
+// worker count, as the per-point scans they replaced did.
+func TestGridScan1DSweepPanicsLikePar(t *testing.T) {
+	id := func(x float64) float64 { return x }
+	id2 := func(x, y float64) float64 { return x + y }
+	for _, workers := range []int{1, 3} {
+		for _, fn := range []func(){
+			func() { GridScan1D(pointwise(id), 5, 1, 10, 1, workers) },
+			func() { GridScan1D(pointwise(id), 0, 1, 1, 1, workers) },
+			func() { gridScan2D(rowwise(id2), 1, 0, 0, 1, 10, 10, 1, workers) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatal("expected panic")
+					}
+				}()
+				fn()
+			}()
+		}
 	}
 }
 
