@@ -100,9 +100,9 @@ func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (
 		return c.Delta(ej, nParallelExpectedCells(c.Model, p, costScanCells))
 	}
 	// Row-sweep mode: the row's EJ values come from one kernel sweep;
-	// the N‖ expectation stays per-cell (its integrand is the survival
-	// series, not an ECDF integral) but skips the cells the sweep
-	// already proved infeasible.
+	// the N‖ expectation is one survival-series sum per grid cell (not
+	// an ECDF integral), skipped where the sweep already proved the
+	// cell infeasible.
 	frow := func(t0 float64, ratios []float64) []float64 {
 		if ctx.Err() != nil {
 			return infSlice(len(ratios))
@@ -159,36 +159,6 @@ func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (
 // costScanCells trades N‖ precision for speed inside optimization
 // loops; final evaluations always use the full resolution.
 const costScanCells = 96
-
-// nParallelExpectedCells is NParallelExpected with a configurable cell
-// count (see ExpectDelayed).
-func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
-	if err := p.Validate(); err != nil {
-		return math.NaN()
-	}
-	q := 1 - m.Ftilde(p.TInf)
-	if q >= 1 {
-		return math.NaN()
-	}
-	sum := 0.0
-	prevG := 1.0
-	h := p.T0 / float64(cells)
-	for j := 0; ; j++ {
-		base := float64(j) * p.T0
-		for i := 1; i <= cells; i++ {
-			t := base + float64(i)*h
-			gt := delayedSurvivalQ(m, p, q, t)
-			if mass := prevG - gt; mass > 0 {
-				sum += mass * NParallelGivenLatency(t-h/2, p)
-			}
-			prevG = gt
-		}
-		if prevG < 1e-12 || j > 10000 {
-			break
-		}
-	}
-	return sum
-}
 
 // StabilityResult reports the paper's Table 5 robustness probe: the
 // worst Δcost when the optimal integer (t0, t∞) is perturbed by up to

@@ -55,23 +55,8 @@ func DelayedSurvival(m Model, p DelayedParams, t float64) float64 {
 	if t < p.T0 { // interval 0: one copy, q never needed
 		return 1 - m.Ftilde(t)
 	}
-	return delayedSurvivalQ(m, p, 1-m.Ftilde(p.TInf), t)
-}
-
-// delayedSurvivalQ is DelayedSurvival with the per-round survival
-// probability q = 1 - F̃R(t∞) precomputed — the inner loops of
-// ExpectDelayed and nParallelExpectedCells evaluate the survival
-// function thousands of times per (t0, t∞) pair and q is constant
-// across all of them. Integer fast exponentiation replaces
-// math.Pow(q, j).
-func delayedSurvivalQ(m Model, p DelayedParams, q, t float64) float64 {
-	if t <= 0 {
-		return 1
-	}
-	jf := math.Floor(t / p.T0) // interval index: t ∈ [j·T0, (j+1)·T0)
-	if jf == 0 {
-		return 1 - m.Ftilde(t)
-	}
+	q := 1 - m.Ftilde(p.TInf)
+	jf := math.Floor(t / p.T0) // interval index >= 1: t ∈ [j·T0, (j+1)·T0)
 	u := t - jf*p.T0
 	if u < p.TInf-p.T0 {
 		// Copies j and j+1 are both racing.
@@ -166,7 +151,8 @@ func ejDelayedRow(k kernels, t0 float64, ratios []float64) []float64 {
 // with t∞ = ratio·t0 fixed (the §6.2 per-ratio scan). The shift of the
 // cross term varies per point, so only the pow-integrals batch; each
 // cross term is one windowed walk over [0, w] — already proportional
-// to the window, not the support. Values are identical to per-point
+// to the window, not the support — and only its plain half, since EJ
+// does not need the u-weighted one. Values are identical to per-point
 // EJDelayed calls.
 func ejDelayedRatioBatch(k kernels, ratio float64, t0s []float64) []float64 {
 	out := make([]float64, len(t0s))
@@ -187,7 +173,7 @@ func ejDelayedRatioBatch(k kernels, ratio float64, t0s []float64) []float64 {
 			out[i] = math.Inf(1)
 			continue
 		}
-		c, _ := k.IntProdBothOneMinusF(ws[i], t0)
+		c := k.IntProdOneMinusF(ws[i], t0)
 		d := ia[i] - iw[i]
 		out[i] = ia[i] + (c+q*d)/(1-q)
 	}
@@ -258,6 +244,18 @@ const delayedExpectCells = 1024
 // the cell midpoint. The series over periods stops when the residual
 // tail mass drops below 1e-12.
 func ExpectDelayed(m Model, p DelayedParams, g func(l float64) float64) float64 {
+	return expectDelayed(m, p, delayedExpectCells, g)
+}
+
+// expectDelayed is ExpectDelayed with `cells` cells per T0-period.
+//
+// Every period puts its cell edges at the same offsets u = i·T0/cells,
+// and within period j >= 1 the survival is q^(j-1)·(1-F̃(u+T0))·(1-F̃(u))
+// while both copies race (u < t∞-t0) and q^j·(1-F̃(u)) after, so the
+// two factors are tabulated once per call and each period costs two
+// powers of q plus O(cells) table lookups: F̃ is evaluated at most
+// 2·cells+1 times however many periods the series runs.
+func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float64) float64 {
 	if err := p.Validate(); err != nil {
 		return math.NaN()
 	}
@@ -265,25 +263,46 @@ func ExpectDelayed(m Model, p DelayedParams, g func(l float64) float64) float64 
 	if q >= 1 {
 		return math.NaN()
 	}
+	h := p.T0 / float64(cells)
+	w := p.TInf - p.T0
+	one := make([]float64, cells+1)  // one[i] = 1-F̃(i·h)
+	both := make([]float64, cells+1) // both[i] = 1-F̃(i·h+T0), for i <= racing
+	racing := 0                      // cells 1..racing have i·h < w: both copies race
+	for i := 1; i <= cells; i++ {
+		u := float64(i) * h
+		one[i] = 1 - m.Ftilde(u)
+		if u < w {
+			both[i] = 1 - m.Ftilde(u+p.T0)
+			racing = i
+		}
+	}
 	sum := 0.0
 	prevG := 1.0
-	h := p.T0 / delayedExpectCells
 	for j := 0; ; j++ {
 		base := float64(j) * p.T0
-		for i := 1; i <= delayedExpectCells; i++ {
+		var qPrev, qCur float64
+		if j > 0 {
+			qPrev, qCur = powFloorExp(q, float64(j-1)), powFloorExp(q, float64(j))
+		}
+		for i := 1; i <= cells; i++ {
+			var gt float64
+			switch {
+			case j == 0:
+				gt = one[i]
+			case i <= racing:
+				gt = qPrev * both[i] * one[i]
+			default:
+				gt = qCur * one[i]
+			}
 			t := base + float64(i)*h
-			gt := delayedSurvivalQ(m, p, q, t)
-			mass := prevG - gt
-			if mass > 0 {
+			if mass := prevG - gt; mass > 0 {
 				sum += mass * g(t-h/2)
 			}
 			prevG = gt
 		}
-		if prevG < 1e-12 {
-			break
-		}
-		if j > 10000 {
-			// q extremely close to 1: accept the truncation.
+		if prevG < 1e-12 || j > 10000 {
+			// Past 10000 periods q is extremely close to 1: accept the
+			// truncation.
 			break
 		}
 	}
@@ -294,7 +313,13 @@ func ExpectDelayed(m Model, p DelayedParams, g func(l float64) float64) float64 
 // copies the delayed strategy keeps in the system, to be compared with
 // b for the multiple-submission strategy.
 func NParallelExpected(m Model, p DelayedParams) float64 {
-	return ExpectDelayed(m, p, func(l float64) float64 {
+	return nParallelExpectedCells(m, p, delayedExpectCells)
+}
+
+// nParallelExpectedCells is NParallelExpected with `cells` cells per
+// T0-period (see expectDelayed).
+func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
+	return expectDelayed(m, p, cells, func(l float64) float64 {
 		return NParallelGivenLatency(l, p)
 	})
 }

@@ -697,9 +697,8 @@ func (m *memoModel) IntUOneMinusFPow(T float64, b int) float64 {
 }
 
 // IntProdBothOneMinusF implements core.ProdBothIntegrals through the
-// memoized scalar cross terms: behind the Planner the memo maps are
-// the cache of record, so a repeated query is free either way and a
-// cold one stays a pair of cacheable scalar lookups.
+// memoized scalar cross terms. Only a final delayed evaluation (EJ and
+// σJ) asks for both; the scans ask for the plain term alone.
 func (m *memoModel) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
 	return m.IntProdOneMinusF(T, shift), m.IntUProdOneMinusF(T, shift)
 }

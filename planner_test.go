@@ -107,6 +107,7 @@ func TestPlannerRecommendMatchesLegacyOnPaperDatasets(t *testing.T) {
 type countingModel struct {
 	Model
 	calls int64
+	uprod int64 // IntUProdOneMinusF calls alone
 }
 
 func (c *countingModel) Ftilde(t float64) float64 {
@@ -131,7 +132,28 @@ func (c *countingModel) IntProdOneMinusF(T, shift float64) float64 {
 
 func (c *countingModel) IntUProdOneMinusF(T, shift float64) float64 {
 	atomic.AddInt64(&c.calls, 1)
+	atomic.AddInt64(&c.uprod, 1)
 	return c.Model.IntUProdOneMinusF(T, shift)
+}
+
+// TestRecommendUWeightedCrossTermOnlyInFinalEvaluations requires the
+// per-ratio t0 scans to skip the u-weighted cross term: a cold
+// Recommend may walk it only for the final DelayedEvaluate of each
+// ratio (σJ needs it), not once per scan point.
+func TestRecommendUWeightedCrossTermOnlyInFinalEvaluations(t *testing.T) {
+	cm := &countingModel{Model: refModel(t)}
+	p, err := NewPlanner(cm, WithMaxParallel(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if n, bound := atomic.LoadInt64(&cm.uprod), int64(2*len(delayedRatioGrid)); n > bound {
+		t.Fatalf("cold Recommend made %d IntUProdOneMinusF calls, want <= %d", n, bound)
+	} else {
+		t.Logf("cold Recommend: %d IntUProdOneMinusF calls, %d base calls in all", n, atomic.LoadInt64(&cm.calls))
+	}
 }
 
 // TestPlannerMemoizesModelEvaluations requires a repeated query on one
