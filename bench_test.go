@@ -303,6 +303,28 @@ func BenchmarkAblationOptimizerBrent(b *testing.B) {
 	}
 }
 
+// BenchmarkAblationOptimizerDelayedRatios times the cold delayed ratio
+// sweep Recommend runs: the optimal t0 of all ten ratios of
+// delayedRatioGrid on 2006-IX, on one goroutine, each iteration on a
+// freshly built model (no kernel tables yet).
+func BenchmarkAblationOptimizerDelayedRatios(b *testing.B) {
+	tr, err := benchContext(b).Set.Get(experiments.ReferenceDataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := core.ModelFromTrace(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, _, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, delayedRatioGrid, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationCostOptimization measures the full Δcost
 // minimization (the Table 5 per-week workload).
 func BenchmarkAblationCostOptimization(b *testing.B) {

@@ -104,10 +104,7 @@ func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (
 	// an ECDF integral), skipped where the sweep already proved the
 	// cell infeasible.
 	frow := func(t0 float64, ratios []float64) []float64 {
-		if ctx.Err() != nil {
-			return infSlice(len(ratios))
-		}
-		ejs := ejDelayedRow(k, t0, ratios)
+		ejs := ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1)
 		for i, ratio := range ratios {
 			if math.IsInf(ejs[i], 1) {
 				continue

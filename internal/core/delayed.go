@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 
 	"gridstrat/internal/optimize"
 	"gridstrat/internal/stats"
@@ -97,87 +98,132 @@ func delayedMoments(m Model, p DelayedParams) (ej, ej2 float64) {
 	return ej, ej2
 }
 
-// ejDelayedRow evaluates EJDelayed across one row of the (t0, ratio)
-// surface — fixed t0, ascending ratio grid — through the batch
-// kernels: the per-row integrals at t0 are computed once, the
-// w = t∞ - t0 integrals are answered by one prefix-kernel sweep, and
-// both cross terms come from a single merged walk sharing the row's
-// shift = t0. Values are identical to per-cell EJDelayed calls.
-func ejDelayedRow(k kernels, t0 float64, ratios []float64) []float64 {
-	out := make([]float64, len(ratios))
-	if !(t0 > 0) {
-		return infSlice(len(ratios))
+// ejDelayedFrom is delayedMoments' EJ from its three integrals: ia
+// over [0, t0], iw over [0, t∞-t0] and the plain cross term c, with
+// q = 1-F̃(t∞).
+func ejDelayedFrom(ia, iw, c, q float64) float64 {
+	d := ia - iw
+	return ia + (c+q*d)/(1-q)
+}
+
+// delayedCellQ returns q = 1-F̃(t∞) at (t0, t∞ = ratio·t0), and false
+// where EJ is +Inf: invalid parameters or no success mass.
+func delayedCellQ(k kernels, t0, ratio float64) (float64, bool) {
+	p := DelayedParams{T0: t0, TInf: ratio * t0}
+	if p.Validate() != nil {
+		return 0, false
 	}
-	ws := make([]float64, len(ratios))
-	ascending := true
-	for i, r := range ratios {
-		// Same expression as delayedMoments: w = TInf - T0 with
-		// TInf = ratio·t0.
-		ws[i] = r*t0 - t0
-		if i > 0 && ws[i] < ws[i-1] {
-			ascending = false
-		}
+	q := 1 - k.Ftilde(p.TInf)
+	return q, !(q >= 1)
+}
+
+// ejDelayedAt is EJDelayed at (t0, t∞ = ratio·t0) through the scalar
+// integrals and the plain cross term alone: the allocation-free
+// objective of the per-ratio Brent polish. Values are identical to
+// ejDelayedRatioBatch's.
+func ejDelayedAt(k kernels, ratio, t0 float64) float64 {
+	q, ok := delayedCellQ(k, t0, ratio)
+	if !ok {
+		return math.Inf(1)
 	}
-	if !ascending {
-		// Float rounding produced a non-monotone w grid (ratios are
-		// ascending, so this is a rounding edge case): keep exactness
-		// by evaluating cell by cell.
-		for i, r := range ratios {
-			out[i] = EJDelayed(k, DelayedParams{T0: t0, TInf: r * t0})
-		}
-		return out
-	}
-	ia := k.IntOneMinusFPow(t0, 1)
-	iw := k.IntOneMinusFPowBatch(ws, 1)
-	cs, _ := k.IntProdBothBatch(ws, t0)
-	for i, r := range ratios {
-		p := DelayedParams{T0: t0, TInf: r * t0}
-		if p.Validate() != nil {
-			out[i] = math.Inf(1)
-			continue
-		}
-		q := 1 - k.Ftilde(p.TInf)
-		if q >= 1 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		d := ia - iw[i]
-		out[i] = ia + (cs[i]+q*d)/(1-q)
-	}
-	return out
+	w := ratio*t0 - t0
+	return ejDelayedFrom(k.IntOneMinusFPow(t0, 1), k.IntOneMinusFPow(w, 1), k.IntProdOneMinusF(w, t0), q)
 }
 
 // ejDelayedRatioBatch evaluates EJDelayed along an ascending t0 grid
-// with t∞ = ratio·t0 fixed (the §6.2 per-ratio scan). The shift of the
-// cross term varies per point, so only the pow-integrals batch; each
-// cross term is one windowed walk over [0, w] — already proportional
-// to the window, not the support — and only its plain half, since EJ
-// does not need the u-weighted one. Values are identical to per-point
-// EJDelayed calls.
-func ejDelayedRatioBatch(k kernels, ratio float64, t0s []float64) []float64 {
-	out := make([]float64, len(t0s))
-	ws := make([]float64, len(t0s))
+// with t∞ = ratio·t0 fixed (one per-ratio refinement round), writing
+// out[i] at t0 = qs[i]. qs holds the grid in its first len(out)
+// entries and is filled with the w = t∞ - t0 grid in the rest, so one
+// batch call answers both pow integrals. The shift of the cross term
+// varies per point, so each cross term is its own windowed walk over
+// [0, w] — already proportional to the window, not the support — and
+// only its plain half, since EJ does not need the u-weighted one.
+// Values are identical to per-point EJDelayed calls.
+func ejDelayedRatioBatch(k kernels, ratio float64, qs, out []float64) {
+	n := len(out)
+	t0s, ws := qs[:n], qs[n:]
 	for i, t0 := range t0s {
 		ws[i] = ratio*t0 - t0
 	}
-	ia := k.IntOneMinusFPowBatch(t0s, 1)
-	iw := k.IntOneMinusFPowBatch(ws, 1)
+	ints := k.IntOneMinusFPowBatch(qs, 1)
 	for i, t0 := range t0s {
-		p := DelayedParams{T0: t0, TInf: ratio * t0}
-		if p.Validate() != nil {
+		q, ok := delayedCellQ(k, t0, ratio)
+		if !ok {
 			out[i] = math.Inf(1)
 			continue
 		}
-		q := 1 - k.Ftilde(p.TInf)
-		if q >= 1 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		c := k.IntProdOneMinusF(ws[i], t0)
-		d := ia[i] - iw[i]
-		out[i] = ia[i] + (c+q*d)/(1-q)
+		out[i] = ejDelayedFrom(ints[i], ints[n+i], k.IntProdOneMinusF(ws[i], t0), q)
 	}
-	return out
+}
+
+// ejDelayedRatioGrid evaluates EJDelayed on the grid t0s × ratios,
+// returning vals[j·len(t0s)+i] at (t0s[i], ratios[j]): the coarse
+// round every ratio's t0 search shares, and (with one t0) a row of the
+// (t0, ratio) surface scans. One batch call answers the pow integrals
+// of t0 and of every ratio's w column. A t0 row shares the cross
+// term's shift = t0, so a model with its own kernels answers the plain
+// cross terms of every ratio from one merged walk. A model scanned
+// pointwise walks each valid cell's plain term alone instead — its
+// merged "walk" would run the u-weighted half as a second full walk
+// per cell — and so does a row whose w values float rounding left
+// non-monotone. Rows fan across up to `workers` goroutines in
+// contiguous chunks; rows reached after ctx is done read +Inf. Values
+// are identical to per-cell EJDelayed calls, and column j to
+// ejDelayedRatioBatch's values for ratios[j].
+func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, workers int) []float64 {
+	n, nr := len(t0s), len(ratios)
+	buf := make([]float64, (2*nr+1)*n)
+	qs, vals := buf[:(nr+1)*n], buf[(nr+1)*n:] // qs: t0s, then each ratio's w column
+	copy(qs, t0s)
+	for j, r := range ratios {
+		col := qs[(j+1)*n : (j+2)*n]
+		for i, t0 := range t0s {
+			// Same expression as delayedMoments: w = TInf - T0 with
+			// TInf = ratio·t0.
+			col[i] = r*t0 - t0
+		}
+	}
+	ints := k.IntOneMinusFPowBatch(qs, 1)
+	_, scalar := k.(pointwise)
+	chunks := optimize.Workers(workers)
+	if chunks > n {
+		chunks = n
+	}
+	per := (n + chunks - 1) / chunks
+	optimize.ParallelFor(chunks, chunks, func(c int) {
+		ws := make([]float64, nr) // the w values of one t0 row
+		for i := c * per; i < n && i < (c+1)*per; i++ {
+			if ctx.Err() != nil {
+				for j := range ratios {
+					vals[j*n+i] = math.Inf(1)
+				}
+				continue
+			}
+			t0 := t0s[i]
+			for j := range ratios {
+				ws[j] = qs[(j+1)*n+i]
+			}
+			var cs []float64
+			if !scalar && sort.Float64sAreSorted(ws) {
+				cs, _ = k.IntProdBothBatch(ws, t0)
+			}
+			for j, r := range ratios {
+				q, ok := delayedCellQ(k, t0, r)
+				if !ok {
+					vals[j*n+i] = math.Inf(1)
+					continue
+				}
+				var c float64
+				if cs != nil {
+					c = cs[j]
+				} else {
+					c = k.IntProdOneMinusF(ws[j], t0)
+				}
+				vals[j*n+i] = ejDelayedFrom(ints[i], ints[(j+1)*n+i], c, q)
+			}
+		}
+	})
+	return vals
 }
 
 // EJDelayed returns the exact expected total latency of the delayed
@@ -265,9 +311,10 @@ func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float6
 	}
 	h := p.T0 / float64(cells)
 	w := p.TInf - p.T0
-	one := make([]float64, cells+1)  // one[i] = 1-F̃(i·h)
-	both := make([]float64, cells+1) // both[i] = 1-F̃(i·h+T0), for i <= racing
-	racing := 0                      // cells 1..racing have i·h < w: both copies race
+	tables := make([]float64, 2*(cells+1))
+	one := tables[:cells+1]  // one[i] = 1-F̃(i·h)
+	both := tables[cells+1:] // both[i] = 1-F̃(i·h+T0), for i <= racing
+	racing := 0              // cells 1..racing have i·h < w: both copies race
 	for i := 1; i <= cells; i++ {
 		u := float64(i) * h
 		one[i] = 1 - m.Ftilde(u)
@@ -459,10 +506,7 @@ func OptimizeDelayedCtx(ctx context.Context, m Model, workers int) (DelayedParam
 	}
 	// Row-sweep mode: one kernel sweep per grid row (fixed t0).
 	frow := func(t0 float64, ratios []float64) []float64 {
-		if ctx.Err() != nil {
-			return infSlice(len(ratios))
-		}
-		return ejDelayedRow(k, t0, ratios)
+		return ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1)
 	}
 	r := optimize.MinimizeRobust2D(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
 	if err := ctx.Err(); err != nil {
@@ -480,47 +524,113 @@ func OptimizeDelayedCtx(ctx context.Context, m Model, workers int) (DelayedParam
 }
 
 // OptimizeDelayedRatio minimizes EJ over t0 with t∞ = ratio·t0 fixed
-// (the paper's §6.2 per-ratio optimization, Table 3). Out-of-range
-// ratios panic; a NaN ratio yields a +Inf evaluation so it can never
-// win an EJ comparison.
+// (the paper's §6.2 per-ratio optimization, Table 3), by the search
+// OptimizeDelayedRatiosCtx describes. Out-of-range ratios panic; a NaN
+// ratio yields a +Inf evaluation so it can never win an EJ comparison.
 func OptimizeDelayedRatio(m Model, ratio float64) (DelayedParams, Evaluation) {
 	if ratio <= 1 || ratio > 2 {
 		panic(fmt.Sprintf("core: delayed ratio must be in (1, 2], got %v", ratio))
 	}
-	p, ev, err := OptimizeDelayedRatioCtx(context.Background(), m, ratio, 1)
+	ps, evs, err := OptimizeDelayedRatiosCtx(context.Background(), m, []float64{ratio}, 1)
 	if err != nil {
 		// Only reachable for a NaN ratio, which slips the panic guard
 		// above; keep the pre-Ctx convention of an infeasible result.
-		return p, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
+		return DelayedParams{}, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
 	}
-	return p, ev
+	return ps[0], evs[0]
 }
 
-// OptimizeDelayedRatioCtx is OptimizeDelayedRatio with validation,
-// cancellation and a worker count: an out-of-range ratio is an error,
-// not a panic, a done ctx aborts the scan, and the grid rounds fan
-// across up to `workers` goroutines (<= 0 means all cores; results are
-// identical for every count).
-func OptimizeDelayedRatioCtx(ctx context.Context, m Model, ratio float64, workers int) (DelayedParams, Evaluation, error) {
-	if !(ratio > 1 && ratio <= 2) {
-		return DelayedParams{}, Evaluation{}, fmt.Errorf("core: delayed ratio must be in (1, 2], got %v", ratio)
+// Shape of the per-ratio t0 search: scans of ratioScanN+1 points over
+// [ub·1e-3, ub/2], then a Brent polish to ratioPolishTol.
+const (
+	ratioScanN     = 400
+	ratioPolishTol = 1e-10
+)
+
+// OptimizeDelayedRatiosCtx minimizes EJ over t0 with t∞ = ratio·t0
+// fixed, for every ratio at once, and returns the optima and their
+// evaluations in input order. Each ratio's search has three steps:
+//
+//   - Round 0, shared: a 401-point t0 grid on [ub·1e-3, ub/2], the
+//     same for every ratio, so each t0 answers all ratios from one
+//     merged cross-term walk.
+//   - Round 1, per ratio: 401 points in [x-h, x+h] around the round-0
+//     incumbent x (h its grid step), ties going to the smaller t0.
+//   - A Brent polish (tolerance 1e-10) inside [x-h₁, x+h₁] around the
+//     round-1 incumbent, kept only where it lowers EJ.
+//
+// Round 1 stays a grid: the step-ECDF objective has many kinks inside a
+// round-0 bracket, and a Brent polish started from there lands in a
+// worse kink on most paper cells. Round 0's t0 rows, and each ratio's
+// round 1, polish and final DelayedEvaluate, fan across up to
+// `workers` goroutines (<= 0 means all cores); every value is
+// pointwise and the ratios are independent, so results are identical
+// for every count and equal per-ratio calls. An out-of-range ratio is
+// an error, and a done ctx aborts with the context's error.
+func OptimizeDelayedRatiosCtx(ctx context.Context, m Model, ratios []float64, workers int) ([]DelayedParams, []Evaluation, error) {
+	for _, r := range ratios {
+		if !(r > 1 && r <= 2) {
+			return nil, nil, fmt.Errorf("core: delayed ratio must be in (1, 2], got %v", r)
+		}
 	}
 	ub := m.UpperBound()
 	k := kernelsOf(m)
-	fb := func(t0s []float64) []float64 {
-		if ctx.Err() != nil {
-			return infSlice(len(t0s))
+	a, b := ub*1e-3, ub/2
+	h0 := (b - a) / ratioScanN
+	t0s := make([]float64, ratioScanN+1)
+	for i := range t0s {
+		t0s[i] = a + float64(i)*h0
+	}
+	vals := ejDelayedRatioGrid(ctx, k, ratios, t0s, workers)
+	ps := make([]DelayedParams, len(ratios))
+	evs := make([]Evaluation, len(ratios))
+	optimize.ParallelFor(len(ratios), optimize.Workers(workers), func(j int) {
+		ratio := ratios[j]
+		x, f := a, math.Inf(1)
+		scan := func(lo, h float64, vs []float64) {
+			for i, v := range vs {
+				if xi := lo + float64(i)*h; v < f || (v == f && xi < x) {
+					x, f = xi, v
+				}
+			}
 		}
-		return ejDelayedRatioBatch(k, ratio, t0s)
-	}
-	r := optimize.GridScan1D(fb, ub*1e-3, ub/2, 400, 4, workers)
+		scan(a, h0, vals[j*len(t0s):(j+1)*len(t0s)])
+		if lo, hi := math.Max(a, x-h0), math.Min(b, x+h0); lo < hi {
+			h1 := (hi - lo) / ratioScanN
+			buf := make([]float64, 3*(ratioScanN+1)) // t0 grid, w grid, EJ
+			qs, out := buf[:2*(ratioScanN+1)], buf[2*(ratioScanN+1):]
+			for i := range out {
+				qs[i] = lo + float64(i)*h1
+			}
+			if ctx.Err() != nil {
+				return
+			}
+			ejDelayedRatioBatch(k, ratio, qs, out)
+			scan(lo, h1, out)
+			if lo, hi := math.Max(a, x-h1), math.Min(b, x+h1); lo < hi && !math.IsInf(f, 1) {
+				r := optimize.Brent(func(t0 float64) float64 {
+					if ctx.Err() != nil {
+						return math.Inf(1)
+					}
+					return ejDelayedAt(k, ratio, t0)
+				}, lo, hi, ratioPolishTol)
+				if r.F < f {
+					x, f = r.X, r.F
+				}
+			}
+		}
+		ps[j] = DelayedParams{T0: x, TInf: ratio * x}
+		if ctx.Err() != nil {
+			return
+		}
+		ev, err := DelayedEvaluate(m, ps[j])
+		if err != nil {
+			ev = Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
+		}
+		evs[j] = ev
+	})
 	if err := ctx.Err(); err != nil {
-		return DelayedParams{}, Evaluation{}, err
+		return nil, nil, err
 	}
-	p := DelayedParams{T0: r.X, TInf: ratio * r.X}
-	ev, err := DelayedEvaluate(m, p)
-	if err != nil {
-		return p, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}, nil
-	}
-	return p, ev, nil
+	return ps, evs, nil
 }

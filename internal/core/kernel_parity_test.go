@@ -78,17 +78,18 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 			t.Fatalf("OptimizeDelayed: batch (%+v, %+v) != scalar (%+v, %+v)", pb, evb, ps, evs)
 		}
 
-		for _, ratio := range []float64{1.3, 2.0} {
-			pb, evb, err := OptimizeDelayedRatioCtx(ctx, m, ratio, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ps, evs, err := OptimizeDelayedRatioCtx(ctx, sm, ratio, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pb != ps || evb != evs {
-				t.Fatalf("ratio %v: batch (%+v, %+v) != scalar (%+v, %+v)", ratio, pb, evb, ps, evs)
+		ratios := []float64{1.3, 2.0}
+		pbs, evbs, err := OptimizeDelayedRatiosCtx(ctx, m, ratios, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pss, evss, err := OptimizeDelayedRatiosCtx(ctx, sm, ratios, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, ratio := range ratios {
+			if pbs[i] != pss[i] || evbs[i] != evss[i] {
+				t.Fatalf("ratio %v: batch (%+v, %+v) != scalar (%+v, %+v)", ratio, pbs[i], evbs[i], pss[i], evss[i])
 			}
 		}
 
@@ -140,8 +141,8 @@ func TestScalarOnlyOptimizersHonorCancellation(t *testing.T) {
 			if _, _, err := OptimizeDelayedCtx(ctx, m, workers); err != context.Canceled {
 				t.Fatalf("%s workers %d: OptimizeDelayedCtx err = %v, want context.Canceled", name, workers, err)
 			}
-			if _, _, err := OptimizeDelayedRatioCtx(ctx, m, 1.5, workers); err != context.Canceled {
-				t.Fatalf("%s workers %d: OptimizeDelayedRatioCtx err = %v, want context.Canceled", name, workers, err)
+			if _, _, err := OptimizeDelayedRatiosCtx(ctx, m, []float64{1.5}, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedRatiosCtx err = %v, want context.Canceled", name, workers, err)
 			}
 			if _, err := cc.OptimizeDelayedCostCtx(ctx, workers); err != context.Canceled {
 				t.Fatalf("%s workers %d: OptimizeDelayedCostCtx err = %v, want context.Canceled", name, workers, err)

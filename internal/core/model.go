@@ -74,9 +74,9 @@ type Model interface {
 // — to the corresponding scalar methods at every entry. A model that
 // implements both BatchIntegrals and ProdBothIntegrals has the
 // optimizers scan through its own kernels; any other model is scanned
-// through a pointwise adapter over its scalar methods (see Pointwise),
-// so implementing the extensions is purely a wall-clock optimization
-// and never changes an optimizer's answer.
+// point by point through its scalar methods (see kernelsOf), so
+// implementing the extensions is purely a wall-clock optimization and
+// never changes an optimizer's answer.
 type BatchIntegrals interface {
 	// IntOneMinusFPowBatch returns ∫₀ᵀ (1-F̃R(u))^b du for every T in Ts
 	// (ascending for the swept path).
@@ -113,14 +113,11 @@ func kernelsOf(m Model) kernels {
 	return pointwise{m}
 }
 
-// Pointwise returns m's batch and fused cross-term integrals answered
+// pointwise answers a model's batch and fused cross-term integrals
 // point by point through its scalar methods, in grid order — values
-// are the scalar values bit for bit. It is the adapter the optimizers
-// use for models without their own kernels; a wrapping model (such as
-// a memoizing cache) can use it to expose the extensions over its own
-// scalar methods.
-func Pointwise(m Model) BatchIntegrals { return pointwise{m} }
-
+// are the scalar values bit for bit. The delayed row sweep asks it for
+// plain cross terms alone (see ejDelayedRatioGrid), since here the
+// u-weighted half is a second full walk, not a free by-product.
 type pointwise struct{ Model }
 
 func (p pointwise) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -174,9 +175,12 @@ func Figure6(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "minimal EJ (s)",
 	}
+	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, figureRatioSweep, 1)
+	if err != nil {
+		return nil, err
+	}
 	var delayed []Point
-	for _, ratio := range figureRatioSweep {
-		_, ev := core.OptimizeDelayedRatio(m, ratio)
+	for _, ev := range evs {
 		delayed = append(delayed, Point{X: ev.Parallel, Y: ev.EJ})
 	}
 	f.AddCurve("delayed submission strategy", delayed)
@@ -234,9 +238,12 @@ func Figure8(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "d-cost",
 	}
+	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, figureRatioSweep, 1)
+	if err != nil {
+		return nil, err
+	}
 	var delayed []Point
-	for _, ratio := range figureRatioSweep {
-		_, ev := core.OptimizeDelayedRatio(m, ratio)
+	for _, ev := range evs {
 		delayed = append(delayed, Point{X: ev.Parallel, Y: cc.Delta(ev.EJ, ev.Parallel)})
 	}
 	f.AddCurve("delayed submission strategy", delayed)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"gridstrat/internal/core"
@@ -95,8 +96,12 @@ func Table3(c *Context) (*Table, error) {
 		Title:   fmt.Sprintf("Delayed resubmission on %s per imposed ratio (single resubmission EJ = %s)", ReferenceDataset, fmtS(cc.RefEJ)),
 		Headers: []string{"t-inf/t0", "N//", "best t-inf", "best t0", "min EJ", "d(100%)"},
 	}
-	for _, ratio := range table3Ratios {
-		p, ev := core.OptimizeDelayedRatio(m, ratio)
+	ps, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, table3Ratios, 1)
+	if err != nil {
+		return nil, err
+	}
+	for i, ratio := range table3Ratios {
+		p, ev := ps[i], evs[i]
 		t.AddRow(fmtF(ratio, 2), fmtF(ev.Parallel, 2), fmtS(p.TInf), fmtS(p.T0),
 			fmtS(ev.EJ), fmtPct((ev.EJ-cc.RefEJ)/cc.RefEJ))
 	}
@@ -134,9 +139,12 @@ func Table4(c *Context) (*Table, error) {
 		multi = append(multi, multiRow{b: b, ej: ev.EJ, delta: delta})
 	}
 	ratios := append([]float64{1.05}, table3Ratios...)
+	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, ratios, 1)
+	if err != nil {
+		return nil, err
+	}
 	for i, ratio := range ratios {
-		p, ev := core.OptimizeDelayedRatio(m, ratio)
-		_ = p
+		ev := evs[i]
 		left := []string{fmtF(ev.Parallel, 2), fmtF(ratio, 2), fmtS(ev.EJ),
 			fmtF(cc.Delta(ev.EJ, ev.Parallel), 2), "|"}
 		if i < len(multi) {

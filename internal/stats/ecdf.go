@@ -560,8 +560,10 @@ func (e *ECDF) IntegralProdBoth(T, shift, s float64) (plain, uweighted float64) 
 // single shift = t0. A non-ascending Ts falls back to per-entry walks.
 // Results are bit-identical to the scalar methods at every entry.
 func (e *ECDF) IntegralProdBothBatch(Ts []float64, shift, s float64) (plain, uweighted []float64) {
-	plain = make([]float64, len(Ts))
-	uweighted = make([]float64, len(Ts))
+	// One allocation for both results: a delayed ratio scan makes one
+	// call per grid row.
+	buf := make([]float64, 2*len(Ts))
+	plain, uweighted = buf[:len(Ts):len(Ts)], buf[len(Ts):]
 	if len(Ts) == 0 {
 		return plain, uweighted
 	}

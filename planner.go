@@ -268,17 +268,17 @@ func (p *Planner) Recommend() (Recommendation, error) {
 	}
 
 	// Delayed: sweep ratios, keep budget-compatible configurations.
-	for _, ratio := range delayedRatioGrid {
-		dp, ev, err := core.OptimizeDelayedRatioCtx(p.cfg.ctx, p.model, ratio, p.cfg.parallelism)
-		if err != nil {
-			return Recommendation{}, err
-		}
+	dps, evs, err := core.OptimizeDelayedRatiosCtx(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	if err != nil {
+		return Recommendation{}, err
+	}
+	for i, ev := range evs {
 		if math.IsInf(ev.EJ, 1) || ev.Parallel > p.cfg.maxParallel {
 			continue
 		}
 		delta := cc.Delta(ev.EJ, ev.Parallel)
 		if inBudget(delta) && ev.EJ < best.Eval.EJ {
-			best = Recommendation{Strategy: StrategyDelayed, Delayed: dp, Eval: ev, Delta: delta}
+			best = Recommendation{Strategy: StrategyDelayed, Delayed: dps[i], Eval: ev, Delta: delta}
 		}
 	}
 	if math.IsInf(best.Eval.EJ, 1) {
@@ -324,16 +324,16 @@ func (p *Planner) RecommendForClass(pol ClassPolicy) (ClassRecommendation, error
 		candidates = append(candidates, Recommendation{
 			Strategy: StrategyMultiple, TInf: tInf, B: b, Eval: ev, Delta: cc.Delta(ev.EJ, float64(b))})
 	}
-	for _, ratio := range delayedRatioGrid {
-		dp, ev, err := core.OptimizeDelayedRatioCtx(p.cfg.ctx, p.model, ratio, p.cfg.parallelism)
-		if err != nil {
-			return ClassRecommendation{}, err
-		}
+	dps, evs, err := core.OptimizeDelayedRatiosCtx(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	if err != nil {
+		return ClassRecommendation{}, err
+	}
+	for i, ev := range evs {
 		if math.IsInf(ev.EJ, 1) || ev.Parallel > pol.MaxParallel {
 			continue
 		}
 		candidates = append(candidates, Recommendation{
-			Strategy: StrategyDelayed, Delayed: dp, Eval: ev, Delta: cc.Delta(ev.EJ, ev.Parallel)})
+			Strategy: StrategyDelayed, Delayed: dps[i], Eval: ev, Delta: cc.Delta(ev.EJ, ev.Parallel)})
 	}
 
 	out := ClassRecommendation{Policy: pol, PHit: math.Inf(-1)}
@@ -608,7 +608,7 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 
 // --- Memoized model ---
 
-// memoModel wraps a Model and caches its pointwise and integral
+// memoCache wraps a Model and caches its pointwise and integral
 // evaluations. The strategy optimizers hammer the same integrals at
 // the same grid points across queries (Recommend's ratio sweep,
 // CompareDeadline's three optimizations, Rank), so one Planner-level
@@ -619,14 +619,12 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 // could never be hit again and every NaN query would leak one dead map
 // entry. With NaN excluded, total memory is bounded by the five maps ×
 // memoLimit entries each (each map is reset wholesale when full).
-type memoModel struct {
+//
+// A memoCache has no batch kernels, so the optimizers scan it point by
+// point and every grid point is a cached scalar lookup; a base model
+// with its own kernels is wrapped in a memoModel instead.
+type memoCache struct {
 	base Model
-	// BatchIntegrals keeps the swept grid scans available behind the
-	// memo layer: the base model's own kernels when it has them
-	// (identical to the scalar values, so bypassing the memo maps is
-	// safe), otherwise core.Pointwise over the memo itself, so every
-	// grid point is a memoized scalar lookup.
-	core.BatchIntegrals
 
 	mu     sync.Mutex
 	ftilde map[float64]float64
@@ -634,6 +632,15 @@ type memoModel struct {
 	upow   map[powKey]float64
 	prod   map[prodKey]float64
 	uprod  map[prodKey]float64
+}
+
+// memoModel is the memo cache over a base model that brings its own
+// batch kernels: the swept grid scans call the base's kernels
+// directly (identical to the scalar values, so bypassing the memo
+// maps is safe) and everything else goes through the cache.
+type memoModel struct {
+	*memoCache
+	core.BatchIntegrals
 }
 
 type powKey struct {
@@ -650,13 +657,15 @@ type prodKey struct {
 // wholesale, so partial eviction buys nothing).
 const memoLimit = 1 << 18
 
-func newMemoModel(m Model) *memoModel {
-	// Avoid double-wrapping when a Planner is built over another
-	// Planner's model.
-	if mm, ok := m.(*memoModel); ok {
-		return mm
+// newMemoModel wraps m in the Planner's memo cache (see memoCache).
+func newMemoModel(m Model) Model {
+	switch m.(type) {
+	case *memoModel, *memoCache:
+		// Avoid double-wrapping when a Planner is built over another
+		// Planner's model.
+		return m
 	}
-	mm := &memoModel{
+	c := &memoCache{
 		base:   m,
 		ftilde: make(map[float64]float64),
 		pow:    make(map[powKey]float64),
@@ -665,31 +674,29 @@ func newMemoModel(m Model) *memoModel {
 		uprod:  make(map[prodKey]float64),
 	}
 	if bi, ok := m.(core.BatchIntegrals); ok {
-		mm.BatchIntegrals = bi
-	} else {
-		mm.BatchIntegrals = core.Pointwise(mm)
+		return &memoModel{memoCache: c, BatchIntegrals: bi}
 	}
-	return mm
+	return c
 }
 
-func (m *memoModel) Ftilde(t float64) float64 {
+func (m *memoCache) Ftilde(t float64) float64 {
 	if math.IsNaN(t) {
 		return m.base.Ftilde(t)
 	}
 	return cached(&m.mu, &m.ftilde, t, func() float64 { return m.base.Ftilde(t) })
 }
 
-func (m *memoModel) Rho() float64        { return m.base.Rho() }
-func (m *memoModel) UpperBound() float64 { return m.base.UpperBound() }
+func (m *memoCache) Rho() float64        { return m.base.Rho() }
+func (m *memoCache) UpperBound() float64 { return m.base.UpperBound() }
 
-func (m *memoModel) IntOneMinusFPow(T float64, b int) float64 {
+func (m *memoCache) IntOneMinusFPow(T float64, b int) float64 {
 	if math.IsNaN(T) {
 		return m.base.IntOneMinusFPow(T, b)
 	}
 	return cached(&m.mu, &m.pow, powKey{t: T, b: b}, func() float64 { return m.base.IntOneMinusFPow(T, b) })
 }
 
-func (m *memoModel) IntUOneMinusFPow(T float64, b int) float64 {
+func (m *memoCache) IntUOneMinusFPow(T float64, b int) float64 {
 	if math.IsNaN(T) {
 		return m.base.IntUOneMinusFPow(T, b)
 	}
@@ -699,18 +706,18 @@ func (m *memoModel) IntUOneMinusFPow(T float64, b int) float64 {
 // IntProdBothOneMinusF implements core.ProdBothIntegrals through the
 // memoized scalar cross terms. Only a final delayed evaluation (EJ and
 // σJ) asks for both; the scans ask for the plain term alone.
-func (m *memoModel) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
+func (m *memoCache) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
 	return m.IntProdOneMinusF(T, shift), m.IntUProdOneMinusF(T, shift)
 }
 
-func (m *memoModel) IntProdOneMinusF(T, shift float64) float64 {
+func (m *memoCache) IntProdOneMinusF(T, shift float64) float64 {
 	if math.IsNaN(T) || math.IsNaN(shift) {
 		return m.base.IntProdOneMinusF(T, shift)
 	}
 	return cached(&m.mu, &m.prod, prodKey{t: T, shift: shift}, func() float64 { return m.base.IntProdOneMinusF(T, shift) })
 }
 
-func (m *memoModel) IntUProdOneMinusF(T, shift float64) float64 {
+func (m *memoCache) IntUProdOneMinusF(T, shift float64) float64 {
 	if math.IsNaN(T) || math.IsNaN(shift) {
 		return m.base.IntUProdOneMinusF(T, shift)
 	}
@@ -740,4 +747,4 @@ func cached[K comparable](mu *sync.Mutex, slot *map[K]float64, k K, compute func
 	return v
 }
 
-func (m *memoModel) Sample(rng *rand.Rand) float64 { return m.base.Sample(rng) }
+func (m *memoCache) Sample(rng *rand.Rand) float64 { return m.base.Sample(rng) }

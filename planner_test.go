@@ -10,12 +10,21 @@ import (
 	"time"
 
 	"gridstrat/internal/core"
+	"gridstrat/internal/optimize"
 	"gridstrat/internal/workload"
 )
 
 // legacyRecommend is the seed's pre-Planner advisor algorithm, kept
-// verbatim as a reference: the Planner must reproduce it exactly.
+// verbatim as a reference: the Planner must reproduce it exactly. It
+// optimizes one ratio per call, so it also proves that the Planner's
+// shared ratio search equals per-ratio searches.
 func legacyRecommend(m Model, maxParallel float64) (Recommendation, error) {
+	return legacyRecommendWith(m, maxParallel, core.OptimizeDelayedRatio)
+}
+
+// legacyRecommendWith is legacyRecommend with the per-ratio delayed
+// optimizer as a parameter.
+func legacyRecommendWith(m Model, maxParallel float64, optimizeRatio func(core.Model, float64) (DelayedParams, Evaluation)) (Recommendation, error) {
 	cc, err := core.NewCostContext(m)
 	if err != nil {
 		return Recommendation{}, err
@@ -33,7 +42,7 @@ func legacyRecommend(m Model, maxParallel float64) (Recommendation, error) {
 		}
 	}
 	for _, ratio := range []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0} {
-		p, ev := core.OptimizeDelayedRatio(m, ratio)
+		p, ev := optimizeRatio(m, ratio)
 		if math.IsInf(ev.EJ, 1) || ev.Parallel > maxParallel {
 			continue
 		}
@@ -99,6 +108,75 @@ func TestPlannerRecommendMatchesLegacyOnPaperDatasets(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// oracleDelayedRatio is the exhaustive per-ratio t0 scan the Brent
+// polish replaced: five GridScan1D rounds of 401 points over
+// [ub·1e-3, ub/2], each refining around the incumbent, on EJDelayed.
+func oracleDelayedRatio(m core.Model, ratio float64) (DelayedParams, Evaluation) {
+	fb := func(t0s []float64) []float64 {
+		out := make([]float64, len(t0s))
+		for i, t0 := range t0s {
+			out[i] = core.EJDelayed(m, DelayedParams{T0: t0, TInf: ratio * t0})
+		}
+		return out
+	}
+	ub := m.UpperBound()
+	r := optimize.GridScan1D(fb, ub*1e-3, ub/2, 400, 4, 1)
+	p := DelayedParams{T0: r.X, TInf: ratio * r.X}
+	ev, err := core.DelayedEvaluate(m, p)
+	if err != nil {
+		return p, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
+	}
+	return p, ev
+}
+
+// TestRecommendMatchesOracleScanOnPaperDatasets: against the advisor
+// run on the exhaustive per-ratio scan, Recommend picks the same
+// strategy and collection size at every budget, with EJ at most the
+// oracle's times (1+1e-9).
+func TestRecommendMatchesOracleScanOnPaperDatasets(t *testing.T) {
+	specs := PaperDatasets()
+	if testing.Short() || raceEnabled {
+		// Same trim as TestPlannerRecommendMatchesLegacyOnPaperDatasets.
+		specs = specs[:3]
+	}
+	for _, spec := range specs {
+		tr, err := SynthesizeDataset(spec.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := ModelFromTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := map[float64]Recommendation{}
+		oracleRatio := func(m core.Model, ratio float64) (DelayedParams, Evaluation) {
+			if r, ok := oracle[ratio]; ok {
+				return r.Delayed, r.Eval
+			}
+			p, ev := oracleDelayedRatio(m, ratio)
+			oracle[ratio] = Recommendation{Delayed: p, Eval: ev}
+			return p, ev
+		}
+		for _, budget := range []float64{1, 1.5, 2, 4} {
+			want, err := legacyRecommendWith(m, budget, oracleRatio)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlanner(m, WithMaxParallel(budget))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Recommend()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Strategy != want.Strategy || got.B != want.B || !(got.Eval.EJ <= want.Eval.EJ*(1+1e-9)) {
+				t.Fatalf("%s budget %v: planner %+v, oracle %+v", spec.Name, budget, got, want)
+			}
+		}
 	}
 }
 
