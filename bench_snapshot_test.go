@@ -158,12 +158,12 @@ func TestBenchSnapshot(t *testing.T) {
 	var evW, evK Evaluation
 	optWalk := timeIt(t, 3, func() error {
 		var err error
-		tW, evW, err = core.OptimizeMultipleCtx(ctx, walk, 5, 1)
+		tW, evW, err = core.OptimizeMultiple(ctx, walk, 5, 1)
 		return err
 	})
 	optKern := timeIt(t, 3, func() error {
 		var err error
-		tK, evK, err = core.OptimizeMultipleCtx(ctx, kern, 5, 1)
+		tK, evK, err = core.OptimizeMultiple(ctx, kern, 5, 1)
 		return err
 	})
 	if !relClose(tW, tK, 1e-9) || !relClose(evW.EJ, evK.EJ, 1e-12) || !relClose(evW.Sigma, evK.Sigma, 1e-12) {
@@ -194,12 +194,12 @@ func TestBenchSnapshot(t *testing.T) {
 	var pW, pK DelayedParams
 	surfWalk := timeIt(t, 1, func() error {
 		var err error
-		pW, _, err = core.OptimizeDelayedCtx(ctx, walk, 1)
+		pW, _, err = core.OptimizeDelayed(ctx, walk, 1)
 		return err
 	})
 	surfKern := timeIt(t, 1, func() error {
 		var err error
-		pK, _, err = core.OptimizeDelayedCtx(ctx, kern, 1)
+		pK, _, err = core.OptimizeDelayed(ctx, kern, 1)
 		return err
 	})
 	if pW != pK {
@@ -213,12 +213,12 @@ func TestBenchSnapshot(t *testing.T) {
 	const mcRuns = 400000
 	var mcW, mcK SimResult
 	mcWalk := timeIt(t, 3, func() error {
-		r, err := core.SimulateMultipleCtx(ctx, walk, 3, 600, mcRuns, rand.New(rand.NewSource(1)), 1)
+		r, err := core.SimulateMultiple(ctx, walk, 3, 600, mcRuns, rand.New(rand.NewSource(1)), 1)
 		mcW = r
 		return err
 	})
 	mcKern := timeIt(t, 3, func() error {
-		r, err := core.SimulateMultipleCtx(ctx, kern, 3, 600, mcRuns, rand.New(rand.NewSource(1)), 1)
+		r, err := core.SimulateMultiple(ctx, kern, 3, 600, mcRuns, rand.New(rand.NewSource(1)), 1)
 		mcK = r
 		return err
 	})

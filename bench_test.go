@@ -214,7 +214,7 @@ func BenchmarkAblationEJSingleMonteCarlo(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateSingle(m, 500, 10000, rng); err != nil {
+		if _, err := (Single{TInf: 500}).Simulate(m, 10000, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -246,11 +246,11 @@ func BenchmarkAblationDelayedPaperCDF(b *testing.B) {
 // 10k runs.
 func BenchmarkAblationDelayedMonteCarlo(b *testing.B) {
 	m := benchModel(b)
-	p := DelayedParams{T0: 339, TInf: 485}
+	s := Delayed{T0: 339, TInf: 485}
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := SimulateDelayed(m, p, 10000, rng); err != nil {
+		if _, err := s.Simulate(m, 10000, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -319,9 +319,45 @@ func BenchmarkAblationOptimizerDelayedRatios(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StartTimer()
-		if _, _, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, delayedRatioGrid, 1); err != nil {
+		if _, _, err := core.OptimizeDelayedRatios(context.Background(), m, delayedRatioGrid, 1); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkAblationOptimizerWarmSharedPlanner times the daemon's
+// option-carrying recommend in process: each iteration builds a fresh
+// Planner over one shared, warmed memoized model of 2006-IX, cycling
+// max_parallel through 1–5, and runs Recommend on one goroutine.
+func BenchmarkAblationOptimizerWarmSharedPlanner(b *testing.B) {
+	tr, err := benchContext(b).Set.Get(experiments.ReferenceDataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := core.ModelFromTrace(tr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shared, err := NewPlanner(m)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recommend := func(maxParallel float64) {
+		p, err := NewPlanner(shared.Model(), WithParallelism(1), WithMaxParallel(maxParallel), WithDeadline(3000))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := p.Recommend(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for mp := 1; mp <= 5; mp++ {
+		recommend(float64(mp))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		recommend(float64(i%5 + 1))
 	}
 }
 
@@ -331,11 +367,13 @@ func BenchmarkAblationCostOptimization(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cc, err := NewCostContext(m)
+		cc, err := NewCostContext(context.Background(), m, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
-		cc.OptimizeDelayedCost()
+		if _, err := cc.OptimizeDelayedCost(context.Background(), 1); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -351,7 +389,7 @@ func BenchmarkAblationMonteCarloWorkers(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SimulateMultipleCtx(context.Background(), m, 3, 600, 200000, rng, bc.workers); err != nil {
+				if _, err := core.SimulateMultiple(context.Background(), m, 3, 600, 200000, rng, bc.workers); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -368,7 +406,7 @@ func BenchmarkAblationMonteCarloSampleSize(b *testing.B) {
 		b.Run(itoa(runs), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			for i := 0; i < b.N; i++ {
-				if _, err := SimulateMultiple(m, 3, 600, runs, rng); err != nil {
+				if _, err := (Multiple{B: 3, TInf: 600}).Simulate(m, runs, rng); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,9 +19,18 @@ func Example() {
 		panic(err)
 	}
 
-	_, single := gridstrat.OptimizeSingle(m)
-	_, multi5 := gridstrat.OptimizeMultiple(m, 5)
-	_, delayed := gridstrat.OptimizeDelayed(m)
+	_, single, err := gridstrat.Single{}.Optimize(m)
+	if err != nil {
+		panic(err)
+	}
+	_, multi5, err := gridstrat.Multiple{B: 5}.Optimize(m)
+	if err != nil {
+		panic(err)
+	}
+	_, delayed, err := gridstrat.Delayed{}.Optimize(m)
+	if err != nil {
+		panic(err)
+	}
 
 	fmt.Println("multiple(b=5) beats delayed:", multi5.EJ < delayed.EJ)
 	fmt.Println("delayed beats single:", delayed.EJ < single.EJ)

@@ -47,6 +47,7 @@
 package gridstrat
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -215,20 +216,17 @@ func DelayedEvaluate(m Model, p DelayedParams) (Evaluation, error) {
 	return core.DelayedEvaluate(m, p)
 }
 
-// OptimizeSingle minimizes Eq. 1 over t∞.
-func OptimizeSingle(m Model) (tInf float64, ev Evaluation) { return core.OptimizeSingle(m) }
-
-// OptimizeMultiple minimizes Eq. 3 over t∞ for fixed b.
-func OptimizeMultiple(m Model, b int) (tInf float64, ev Evaluation) {
-	return core.OptimizeMultiple(m, b)
-}
-
-// OptimizeDelayed minimizes the delayed expectation over (t0, t∞).
-func OptimizeDelayed(m Model) (DelayedParams, Evaluation) { return core.OptimizeDelayed(m) }
-
-// OptimizeDelayedRatio minimizes over t0 with t∞/t0 fixed (§6.2).
-func OptimizeDelayedRatio(m Model, ratio float64) (DelayedParams, Evaluation) {
-	return core.OptimizeDelayedRatio(m, ratio)
+// OptimizeDelayedRatio minimizes over t0 with t∞/t0 fixed (§6.2). A
+// ratio outside (1, 2] is an error, a done ctx aborts the scan with its
+// error, and the scan fans across up to workers goroutines (<= 0 means
+// all cores; results are identical for every count). The other
+// optimizers are the Strategy methods: Single{}.Optimize(m) and so on.
+func OptimizeDelayedRatio(ctx context.Context, m Model, ratio float64, workers int) (DelayedParams, Evaluation, error) {
+	ps, evs, err := core.OptimizeDelayedRatios(ctx, m, []float64{ratio}, workers)
+	if err != nil {
+		return DelayedParams{}, Evaluation{}, err
+	}
+	return ps[0], evs[0], nil
 }
 
 // --- Cost criterion (Eq. 6) ---
@@ -239,27 +237,12 @@ type CostContext = core.CostContext
 // CostResult is a Δcost minimization outcome.
 type CostResult = core.CostResult
 
-// NewCostContext optimizes the single-resubmission baseline of m.
-func NewCostContext(m Model) (*CostContext, error) { return core.NewCostContext(m) }
-
-// --- Monte Carlo validation ---
-
-// SimulateSingle replays single resubmission at timeout tInf against
-// latencies sampled from the model.
-func SimulateSingle(m Model, tInf float64, runs int, rng Rand) (SimResult, error) {
-	return core.SimulateSingle(m, tInf, runs, rng)
-}
-
-// SimulateMultiple replays b-fold multiple submission at timeout tInf
-// against latencies sampled from the model.
-func SimulateMultiple(m Model, b int, tInf float64, runs int, rng Rand) (SimResult, error) {
-	return core.SimulateMultiple(m, b, tInf, runs, rng)
-}
-
-// SimulateDelayed replays delayed resubmission at fixed parameters
-// against latencies sampled from the model.
-func SimulateDelayed(m Model, p DelayedParams, runs int, rng Rand) (SimResult, error) {
-	return core.SimulateDelayed(m, p, runs, rng)
+// NewCostContext optimizes the single-resubmission baseline of m. A
+// done ctx aborts the optimization with its error; its scan fans across
+// up to workers goroutines (<= 0 means all cores; results are identical
+// for every count).
+func NewCostContext(ctx context.Context, m Model, workers int) (*CostContext, error) {
+	return core.NewCostContext(ctx, m, workers)
 }
 
 // --- Grid simulator ---

@@ -72,7 +72,11 @@ func TestPublicRoundTrips(t *testing.T) {
 
 func TestPublicStrategyPipeline(t *testing.T) {
 	m := refModel(t)
-	tInf, single := OptimizeSingle(m)
+	s, single, err := Single{}.Optimize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tInf := s.Params().TInf
 	if tInf <= 0 || single.EJ <= 0 {
 		t.Fatalf("single optimization failed: %v %v", tInf, single.EJ)
 	}
@@ -82,11 +86,18 @@ func TestPublicStrategyPipeline(t *testing.T) {
 	if SigmaSingle(m, tInf) <= 0 {
 		t.Fatal("σ must be positive")
 	}
-	_, mult := OptimizeMultiple(m, 4)
+	_, mult, err := Multiple{B: 4}.Optimize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(mult.EJ < single.EJ) {
 		t.Fatal("b=4 should beat single")
 	}
-	p, del := OptimizeDelayed(m)
+	d, del, err := Delayed{}.Optimize(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := d.(Delayed).DelayedParams()
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +132,7 @@ func TestPublicModelsFromLatenciesAndDistributions(t *testing.T) {
 func TestPublicSimulators(t *testing.T) {
 	m := refModel(t)
 	rng := rand.New(rand.NewSource(5))
-	sim, err := SimulateSingle(m, 500, 20000, rng)
+	sim, err := Single{TInf: 500}.Simulate(m, 20000, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,10 +140,10 @@ func TestPublicSimulators(t *testing.T) {
 	if math.Abs(sim.EJ-want) > 6*sim.StdErr {
 		t.Fatalf("MC %v±%v vs analytic %v", sim.EJ, sim.StdErr, want)
 	}
-	if _, err := SimulateMultiple(m, 3, 500, 5000, rng); err != nil {
+	if _, err := (Multiple{B: 3, TInf: 500}).Simulate(m, 5000, rng); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := SimulateDelayed(m, DelayedParams{T0: 300, TInf: 450}, 5000, rng); err != nil {
+	if _, err := (Delayed{T0: 300, TInf: 450}).Simulate(m, 5000, rng); err != nil {
 		t.Fatal(err)
 	}
 }

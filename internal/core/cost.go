@@ -20,16 +20,12 @@ type CostContext struct {
 }
 
 // NewCostContext optimizes the single-resubmission baseline once and
-// fixes it as the cost reference.
-func NewCostContext(m Model) (*CostContext, error) {
-	return NewCostContextCtx(context.Background(), m, 1)
-}
-
-// NewCostContextCtx is NewCostContext with cancellation of the
-// baseline optimization and a worker count for its grid scan (<= 0
-// means all cores; results are identical for every count).
-func NewCostContextCtx(ctx context.Context, m Model, workers int) (*CostContext, error) {
-	tInf, ev, err := OptimizeSingleCtx(ctx, m, workers)
+// fixes it as the cost reference. A done ctx aborts the baseline
+// optimization with its error; its grid scan fans across up to
+// `workers` goroutines (<= 0 means all cores; results are identical
+// for every count).
+func NewCostContext(ctx context.Context, m Model, workers int) (*CostContext, error) {
+	tInf, ev, err := OptimizeSingle(ctx, m, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -45,11 +41,15 @@ func (c *CostContext) Delta(ej, nParallel float64) float64 {
 }
 
 // DeltaMultiple optimizes the multiple-submission strategy for
-// collection size b and returns its optimal timeout, evaluation and
+// collection size b (see OptimizeMultiple for ctx, workers and the
+// errors) and returns its optimal timeout, evaluation and
 // Δcost = b·EJ(b)/EJ(1).
-func (c *CostContext) DeltaMultiple(b int) (tInf float64, ev Evaluation, delta float64) {
-	tInf, ev = OptimizeMultiple(c.Model, b)
-	return tInf, ev, c.Delta(ev.EJ, float64(b))
+func (c *CostContext) DeltaMultiple(ctx context.Context, b int, workers int) (tInf float64, ev Evaluation, delta float64, err error) {
+	tInf, ev, err = OptimizeMultiple(ctx, c.Model, b, workers)
+	if err != nil {
+		return 0, Evaluation{}, 0, err
+	}
+	return tInf, ev, c.Delta(ev.EJ, float64(b)), nil
 }
 
 // DeltaDelayed evaluates the delayed strategy at p and its Δcost =
@@ -73,16 +73,11 @@ type CostResult struct {
 // t0 < t∞ <= 2·t0, then rounds to integer seconds and polishes on the
 // integer lattice — the paper restricts Table 5 to integer parameter
 // values because sub-second resubmission control is not realistic.
-func (c *CostContext) OptimizeDelayedCost() CostResult {
-	r, _ := c.OptimizeDelayedCostCtx(context.Background(), 1)
-	return r
-}
-
-// OptimizeDelayedCostCtx is OptimizeDelayedCost with cancellation (a
-// done ctx aborts both the surface search and the integer polish) and
-// a worker count for the coarse surface scan (<= 0 means all cores;
-// results are identical for every count).
-func (c *CostContext) OptimizeDelayedCostCtx(ctx context.Context, workers int) (CostResult, error) {
+// A done ctx aborts both the surface search and the integer polish
+// with its error; the coarse surface scan fans across up to `workers`
+// goroutines (<= 0 means all cores; results are identical for every
+// count).
+func (c *CostContext) OptimizeDelayedCost(ctx context.Context, workers int) (CostResult, error) {
 	ub := c.Model.UpperBound()
 	k := kernelsOf(c.Model)
 	obj := func(t0, ratio float64) float64 {

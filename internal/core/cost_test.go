@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,7 +9,7 @@ import (
 
 func TestCostContextReference(t *testing.T) {
 	m := testEmpirical(t)
-	cc, err := NewCostContext(m)
+	cc, err := NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,7 +21,10 @@ func TestCostContextReference(t *testing.T) {
 		t.Fatalf("Δcost(single) = %v, want 1", got)
 	}
 	// DeltaMultiple(1) re-optimizes the same strategy: Δ ≈ 1.
-	_, _, delta := cc.DeltaMultiple(1)
+	_, _, delta, err := cc.DeltaMultiple(context.Background(), 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(delta-1) > 1e-6 {
 		t.Fatalf("Δcost(b=1) = %v, want 1", delta)
 	}
@@ -30,13 +34,16 @@ func TestDeltaMultipleIncreasing(t *testing.T) {
 	// Table 4 right side: Δcost grows with b and exceeds 1 from b=2 —
 	// multiple submission buys latency with grid load.
 	m := testEmpirical(t)
-	cc, err := NewCostContext(m)
+	cc, err := NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	prev := 1.0
 	for _, b := range []int{2, 3, 5, 8, 12, 20} {
-		_, ev, delta := cc.DeltaMultiple(b)
+		_, ev, delta, err := cc.DeltaMultiple(context.Background(), b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if delta <= 1 {
 			t.Errorf("Δcost(b=%d) = %v, want > 1", b, delta)
 		}
@@ -55,11 +62,14 @@ func TestOptimizeDelayedCostBeatsSingle(t *testing.T) {
 	// tuned to Δcost < 1 — faster than single resubmission *and*
 	// lighter on the grid.
 	m := testEmpirical(t)
-	cc, err := NewCostContext(m)
+	cc, err := NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cc.OptimizeDelayedCost()
+	res, err := cc.OptimizeDelayedCost(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := res.Params.Validate(); err != nil {
 		t.Fatalf("optimizer returned invalid params: %v", err)
 	}
@@ -77,7 +87,7 @@ func TestOptimizeDelayedCostBeatsSingle(t *testing.T) {
 
 func TestDeltaDelayedConsistency(t *testing.T) {
 	m := testEmpirical(t)
-	cc, err := NewCostContext(m)
+	cc, err := NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +107,14 @@ func TestDeltaDelayedConsistency(t *testing.T) {
 
 func TestCostStability(t *testing.T) {
 	m := testEmpirical(t)
-	cc, err := NewCostContext(m)
+	cc, err := NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := cc.OptimizeDelayedCost()
+	res, err := cc.OptimizeDelayedCost(context.Background(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// Radius 0: only the point itself.
 	s0 := cc.CostStability(res.Params, 0)
@@ -136,7 +149,7 @@ func TestCostContextFailsWithoutSuccessMass(t *testing.T) {
 	// rho ≈ 1 being rejected earlier, so instead verify the error path
 	// with an upper bound below all support.
 	m := hopelessModel{}
-	if _, err := NewCostContext(m); err == nil {
+	if _, err := NewCostContext(context.Background(), m, 1); err == nil {
 		t.Fatal("hopeless model should fail to anchor")
 	}
 }

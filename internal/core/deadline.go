@@ -62,15 +62,11 @@ type DeadlineEntry struct {
 // strategy, b-fold multiple submission, and the EJ-optimal delayed
 // strategy. It is the "soft real-time" view of the paper's evaluation:
 // users often care about tail quantiles, not expectations. Invalid
-// deadlines and collection sizes are returned as errors.
-func CompareDeadline(m Model, deadline float64, b int) (DeadlineReport, error) {
-	return CompareDeadlineCtx(context.Background(), m, deadline, b, 1)
-}
-
-// CompareDeadlineCtx is CompareDeadline with cancellation of the three
-// per-strategy optimizations and a worker count for their scans (<= 0
-// means all cores; results are identical for every count).
-func CompareDeadlineCtx(ctx context.Context, m Model, deadline float64, b int, workers int) (DeadlineReport, error) {
+// deadlines and collection sizes are returned as errors, a done ctx
+// aborts the three per-strategy optimizations with its error, and
+// their scans fan across up to `workers` goroutines (<= 0 means all
+// cores; results are identical for every count).
+func CompareDeadline(ctx context.Context, m Model, deadline float64, b int, workers int) (DeadlineReport, error) {
 	if deadline <= 0 {
 		return DeadlineReport{}, fmt.Errorf("core: non-positive deadline %v", deadline)
 	}
@@ -79,7 +75,7 @@ func CompareDeadlineCtx(ctx context.Context, m Model, deadline float64, b int, w
 	}
 	rep := DeadlineReport{Deadline: deadline}
 
-	tS, _, err := OptimizeSingleCtx(ctx, m, workers)
+	tS, _, err := OptimizeSingle(ctx, m, workers)
 	if err != nil {
 		return DeadlineReport{}, err
 	}
@@ -91,7 +87,7 @@ func CompareDeadlineCtx(ctx context.Context, m Model, deadline float64, b int, w
 		P95:         QuantileJ(cdfS, 0.95, tS),
 	}
 
-	tM, _, err := OptimizeMultipleCtx(ctx, m, b, workers)
+	tM, _, err := OptimizeMultiple(ctx, m, b, workers)
 	if err != nil {
 		return DeadlineReport{}, err
 	}
@@ -103,7 +99,7 @@ func CompareDeadlineCtx(ctx context.Context, m Model, deadline float64, b int, w
 		P95:         QuantileJ(cdfM, 0.95, tM),
 	}
 
-	p, ev, err := OptimizeDelayedCtx(ctx, m, workers)
+	p, ev, err := OptimizeDelayed(ctx, m, workers)
 	if err != nil {
 		return DeadlineReport{}, err
 	}

@@ -486,16 +486,11 @@ func clamp01(x float64) float64 {
 // OptimizeDelayed minimizes the exact EJ over (t0, t∞) subject to
 // t0 < t∞ <= 2·t0 (paper Figure 5's surface minimum). The search is
 // over the rectangle (t0, ratio) to keep the feasible set box-shaped.
-func OptimizeDelayed(m Model) (DelayedParams, Evaluation) {
-	p, ev, _ := OptimizeDelayedCtx(context.Background(), m, 1)
-	return p, ev
-}
-
-// OptimizeDelayedCtx is OptimizeDelayed with cancellation (a done ctx
-// short-circuits the remaining surface evaluations and returns the
-// context's error) and a worker count for the coarse surface scan
-// (<= 0 means all cores; results are identical for every count).
-func OptimizeDelayedCtx(ctx context.Context, m Model, workers int) (DelayedParams, Evaluation, error) {
+// A done ctx short-circuits the remaining surface evaluations and
+// returns its error; the coarse surface scan fans across up to
+// `workers` goroutines (<= 0 means all cores; results are identical
+// for every count).
+func OptimizeDelayed(ctx context.Context, m Model, workers int) (DelayedParams, Evaluation, error) {
 	ub := m.UpperBound()
 	k := kernelsOf(m)
 	obj := func(t0, ratio float64) float64 {
@@ -523,23 +518,6 @@ func OptimizeDelayedCtx(ctx context.Context, m Model, workers int) (DelayedParam
 	return p, ev, nil
 }
 
-// OptimizeDelayedRatio minimizes EJ over t0 with t∞ = ratio·t0 fixed
-// (the paper's §6.2 per-ratio optimization, Table 3), by the search
-// OptimizeDelayedRatiosCtx describes. Out-of-range ratios panic; a NaN
-// ratio yields a +Inf evaluation so it can never win an EJ comparison.
-func OptimizeDelayedRatio(m Model, ratio float64) (DelayedParams, Evaluation) {
-	if ratio <= 1 || ratio > 2 {
-		panic(fmt.Sprintf("core: delayed ratio must be in (1, 2], got %v", ratio))
-	}
-	ps, evs, err := OptimizeDelayedRatiosCtx(context.Background(), m, []float64{ratio}, 1)
-	if err != nil {
-		// Only reachable for a NaN ratio, which slips the panic guard
-		// above; keep the pre-Ctx convention of an infeasible result.
-		return DelayedParams{}, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
-	}
-	return ps[0], evs[0]
-}
-
 // Shape of the per-ratio t0 search: scans of ratioScanN+1 points over
 // [ub·1e-3, ub/2], then a Brent polish to ratioPolishTol.
 const (
@@ -547,9 +525,11 @@ const (
 	ratioPolishTol = 1e-10
 )
 
-// OptimizeDelayedRatiosCtx minimizes EJ over t0 with t∞ = ratio·t0
-// fixed, for every ratio at once, and returns the optima and their
-// evaluations in input order. Each ratio's search has three steps:
+// OptimizeDelayedRatios minimizes EJ over t0 with t∞ = ratio·t0
+// fixed (the paper's §6.2 per-ratio optimization, Table 3), for every
+// ratio at once, and returns the optima and their evaluations in input
+// order; a single-ratio caller passes a one-element slice. Each
+// ratio's search has three steps:
 //
 //   - Round 0, shared: a 401-point t0 grid on [ub·1e-3, ub/2], the
 //     same for every ratio, so each t0 answers all ratios from one
@@ -567,7 +547,7 @@ const (
 // pointwise and the ratios are independent, so results are identical
 // for every count and equal per-ratio calls. An out-of-range ratio is
 // an error, and a done ctx aborts with the context's error.
-func OptimizeDelayedRatiosCtx(ctx context.Context, m Model, ratios []float64, workers int) ([]DelayedParams, []Evaluation, error) {
+func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, workers int) ([]DelayedParams, []Evaluation, error) {
 	for _, r := range ratios {
 		if !(r > 1 && r <= 2) {
 			return nil, nil, fmt.Errorf("core: delayed ratio must be in (1, 2], got %v", r)

@@ -12,7 +12,7 @@ import (
 // optimizeDelayedRatioOracle is the exhaustive per-ratio t0 scan the
 // shared search replaced: five GridScan1D rounds of 401 points over
 // [ub·1e-3, ub/2], each refining around the incumbent. It is the
-// accuracy reference for OptimizeDelayedRatiosCtx.
+// accuracy reference for OptimizeDelayedRatios.
 func optimizeDelayedRatioOracle(m Model, ratio float64) (DelayedParams, Evaluation) {
 	ub := m.UpperBound()
 	k := kernelsOf(m)
@@ -107,7 +107,7 @@ func TestOptimizeDelayedRatiosWithinOracle(t *testing.T) {
 	const relTol = 1e-9
 	worst, lower, cells := math.Inf(-1), 0, 0
 	for name, m := range paperModels(t) {
-		ps, evs, err := OptimizeDelayedRatiosCtx(context.Background(), m, oracleRatios, 2)
+		ps, evs, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,12 +134,12 @@ func TestOptimizeDelayedRatiosWithinOracle(t *testing.T) {
 // single-ratio call.
 func TestOptimizeDelayedRatiosWorkerInvariant(t *testing.T) {
 	for name, m := range map[string]Model{"empirical": parityModel(t, 7, 0.12), "scalarOnly": scalarOnly{parityModel(t, 42, 0.1)}} {
-		ps1, evs1, err := OptimizeDelayedRatiosCtx(context.Background(), m, oracleRatios, 1)
+		ps1, evs1, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, 8} {
-			ps, evs, err := OptimizeDelayedRatiosCtx(context.Background(), m, oracleRatios, workers)
+			ps, evs, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,8 +151,12 @@ func TestOptimizeDelayedRatiosWorkerInvariant(t *testing.T) {
 			}
 		}
 		for j, ratio := range oracleRatios {
-			if p, ev := OptimizeDelayedRatio(m, ratio); p != ps1[j] || ev != evs1[j] {
-				t.Fatalf("%s ratio %v: single-ratio call (%+v, %+v), shared (%+v, %+v)", name, ratio, p, ev, ps1[j], evs1[j])
+			ps, evs, err := OptimizeDelayedRatios(context.Background(), m, []float64{ratio}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ps[0] != ps1[j] || evs[0] != evs1[j] {
+				t.Fatalf("%s ratio %v: single-ratio call (%+v, %+v), shared (%+v, %+v)", name, ratio, ps[0], evs[0], ps1[j], evs1[j])
 			}
 		}
 	}
@@ -166,12 +170,12 @@ func TestOptimizeDelayedRatiosErrors(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 2, 8} {
-		if _, _, err := OptimizeDelayedRatiosCtx(ctx, m, oracleRatios, workers); err != context.Canceled {
+		if _, _, err := OptimizeDelayedRatios(ctx, m, oracleRatios, workers); err != context.Canceled {
 			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
 		}
 	}
 	for _, bad := range []float64{1, 2.5, math.NaN()} {
-		if _, _, err := OptimizeDelayedRatiosCtx(context.Background(), m, []float64{1.5, bad}, 1); err == nil {
+		if _, _, err := OptimizeDelayedRatios(context.Background(), m, []float64{1.5, bad}, 1); err == nil {
 			t.Fatalf("ratio %v: want an error", bad)
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestDelayedMCMatchesAnalytic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := SimulateDelayed(m, p, 120000, rng)
+		sim, err := SimulateDelayed(context.Background(), m, p, 120000, rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,8 +136,14 @@ func TestDelayedImprovesOnSingle(t *testing.T) {
 	// The paper's core claim: a well-tuned delayed strategy beats the
 	// optimal single resubmission on heavy-tailed latency.
 	m := testEmpirical(t)
-	_, single := OptimizeSingle(m)
-	_, ev := OptimizeDelayed(m)
+	_, single, err := OptimizeSingle(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ev, err := OptimizeDelayed(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(ev.EJ < single.EJ) {
 		t.Fatalf("delayed optimum %v does not beat single %v", ev.EJ, single.EJ)
 	}
@@ -146,7 +153,10 @@ func TestDelayedImprovesOnSingle(t *testing.T) {
 	}
 	// But multiple submission with b=2 beats delayed on raw EJ
 	// (Figure 6's message).
-	_, mult2 := OptimizeMultiple(m, 2)
+	_, mult2, err := OptimizeMultiple(context.Background(), m, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(mult2.EJ < ev.EJ) {
 		t.Fatalf("b=2 EJ %v should beat delayed %v", mult2.EJ, ev.EJ)
 	}
@@ -261,17 +271,28 @@ func TestDelayedDegenerateInputs(t *testing.T) {
 	if !math.IsInf(EJDelayed(m, p), 1) {
 		t.Fatal("no-success params should give +Inf")
 	}
-	mustPanicCore(t, func() { OptimizeDelayedRatio(m, 1.0) })
-	mustPanicCore(t, func() { OptimizeDelayedRatio(m, 2.5) })
+	for _, ratio := range []float64{1.0, 2.5} {
+		if _, _, err := OptimizeDelayedRatios(context.Background(), m, []float64{ratio}, 1); err == nil {
+			t.Fatalf("ratio %v should error", ratio)
+		}
+	}
 }
 
 func TestOptimizeDelayedRatioBeatsSingleForGoodRatios(t *testing.T) {
 	// Table 3: every ratio in (1, 2] yields EJ below the single
 	// optimum on the 2006-IX-style trace.
 	m := testEmpirical(t)
-	_, single := OptimizeSingle(m)
-	for _, ratio := range []float64{1.1, 1.25, 1.5, 1.8, 2.0} {
-		p, ev := OptimizeDelayedRatio(m, ratio)
+	_, single, err := OptimizeSingle(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ratios := []float64{1.1, 1.25, 1.5, 1.8, 2.0}
+	ps, evs, err := OptimizeDelayedRatios(context.Background(), m, ratios, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, ratio := range ratios {
+		p, ev := ps[j], evs[j]
 		if math.Abs(p.Ratio()-ratio) > 1e-9 {
 			t.Fatalf("ratio drifted: %v vs %v", p.Ratio(), ratio)
 		}
@@ -332,13 +353,12 @@ func (s *shiftedExp) Rand(rng *rand.Rand) float64 {
 func (s *shiftedExp) Mean() float64 { return s.floor + 1/s.rate }
 func (s *shiftedExp) Var() float64  { return 1 / (s.rate * s.rate) }
 
-// A NaN ratio slips OptimizeDelayedRatio's panic guard; the wrapper
-// must keep the pre-Ctx convention of an infeasible (+Inf) evaluation
-// so garbage input never wins an EJ comparison.
+// A NaN ratio fails every comparison, so it must not slip the range
+// check: it is an error, never a result that could win an EJ
+// comparison.
 func TestOptimizeDelayedRatioNaN(t *testing.T) {
 	m := testEmpirical(t)
-	_, ev := OptimizeDelayedRatio(m, math.NaN())
-	if !math.IsInf(ev.EJ, 1) {
-		t.Fatalf("NaN ratio gave EJ=%v, want +Inf", ev.EJ)
+	if ps, evs, err := OptimizeDelayedRatios(context.Background(), m, []float64{math.NaN()}, 1); err == nil {
+		t.Fatalf("NaN ratio gave (%+v, %+v), want an error", ps, evs)
 	}
 }

@@ -44,11 +44,11 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 
 		for _, b := range []int{1, 3, 5} {
 			for _, workers := range []int{1, 4} {
-				tb, evb, err := OptimizeMultipleCtx(ctx, m, b, workers)
+				tb, evb, err := OptimizeMultiple(ctx, m, b, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ts, evs, err := OptimizeMultipleCtx(ctx, sm, b, workers)
+				ts, evs, err := OptimizeMultiple(ctx, sm, b, workers)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -66,11 +66,11 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 			}
 		}
 
-		pb, evb, err := OptimizeDelayedCtx(ctx, m, 1)
+		pb, evb, err := OptimizeDelayed(ctx, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, evs, err := OptimizeDelayedCtx(ctx, sm, 1)
+		ps, evs, err := OptimizeDelayed(ctx, sm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,11 +79,11 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 		}
 
 		ratios := []float64{1.3, 2.0}
-		pbs, evbs, err := OptimizeDelayedRatiosCtx(ctx, m, ratios, 2)
+		pbs, evbs, err := OptimizeDelayedRatios(ctx, m, ratios, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pss, evss, err := OptimizeDelayedRatiosCtx(ctx, sm, ratios, 2)
+		pss, evss, err := OptimizeDelayedRatios(ctx, sm, ratios, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,22 +93,22 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 			}
 		}
 
-		ccb, err := NewCostContextCtx(ctx, m, 1)
+		ccb, err := NewCostContext(ctx, m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ccs, err := NewCostContextCtx(ctx, sm, 1)
+		ccs, err := NewCostContext(ctx, sm, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if ccb.RefTimeout != ccs.RefTimeout || ccb.RefEJ != ccs.RefEJ {
 			t.Fatalf("cost baselines diverged: %+v vs %+v", ccb, ccs)
 		}
-		rb, err := ccb.OptimizeDelayedCostCtx(ctx, 1)
+		rb, err := ccb.OptimizeDelayedCost(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rs, err := ccs.OptimizeDelayedCostCtx(ctx, 1)
+		rs, err := ccs.OptimizeDelayedCost(ctx, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,22 +130,22 @@ func TestScalarOnlyOptimizersHonorCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for name, m := range map[string]Model{"scalarOnly": scalarOnly{parityModel(t, 42, 0.1)}, "parametric": pm} {
-		cc, err := NewCostContextCtx(context.Background(), m, 1)
+		cc, err := NewCostContext(context.Background(), m, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 4} {
-			if _, _, err := OptimizeMultipleCtx(ctx, m, 3, workers); err != context.Canceled {
-				t.Fatalf("%s workers %d: OptimizeMultipleCtx err = %v, want context.Canceled", name, workers, err)
+			if _, _, err := OptimizeMultiple(ctx, m, 3, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeMultiple err = %v, want context.Canceled", name, workers, err)
 			}
-			if _, _, err := OptimizeDelayedCtx(ctx, m, workers); err != context.Canceled {
-				t.Fatalf("%s workers %d: OptimizeDelayedCtx err = %v, want context.Canceled", name, workers, err)
+			if _, _, err := OptimizeDelayed(ctx, m, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayed err = %v, want context.Canceled", name, workers, err)
 			}
-			if _, _, err := OptimizeDelayedRatiosCtx(ctx, m, []float64{1.5}, workers); err != context.Canceled {
-				t.Fatalf("%s workers %d: OptimizeDelayedRatiosCtx err = %v, want context.Canceled", name, workers, err)
+			if _, _, err := OptimizeDelayedRatios(ctx, m, []float64{1.5}, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedRatios err = %v, want context.Canceled", name, workers, err)
 			}
-			if _, err := cc.OptimizeDelayedCostCtx(ctx, workers); err != context.Canceled {
-				t.Fatalf("%s workers %d: OptimizeDelayedCostCtx err = %v, want context.Canceled", name, workers, err)
+			if _, err := cc.OptimizeDelayedCost(ctx, workers); err != context.Canceled {
+				t.Fatalf("%s workers %d: OptimizeDelayedCost err = %v, want context.Canceled", name, workers, err)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -110,7 +111,10 @@ func TestMixtureModelStrategiesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tInf, single := OptimizeSingle(disc)
+	tInf, single, err := OptimizeSingle(context.Background(), disc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsInf(single.EJ, 1) || tInf <= 0 {
 		t.Fatal("single optimization failed on discretized mixture")
 	}
@@ -124,13 +128,16 @@ func TestMixtureModelStrategiesRun(t *testing.T) {
 		t.Fatal("b=3 should beat single on mixture")
 	}
 
-	p, delayed := OptimizeDelayed(disc)
+	p, delayed, err := OptimizeDelayed(context.Background(), disc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(delayed.EJ < single.EJ) {
 		t.Fatal("delayed should beat single on mixture")
 	}
 	// MC validation against the true mixture model.
 	rng := rand.New(rand.NewSource(93))
-	sim, err := SimulateDelayed(mix, p, 60000, rng)
+	sim, err := SimulateDelayed(context.Background(), mix, p, 60000, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,14 @@ var Inf = math.Inf(1)
 
 // Model is the latency law F̃R consumed by every strategy formula.
 //
-// Concurrency: the Planner and the `…Ctx` entry points with a worker
-// count other than 1 call Model methods from multiple goroutines, so
-// implementations used there must be safe for concurrent use (the
-// in-repo empirical and parametric models are — they are read-only
-// after construction). The legacy non-ctx free functions and the
-// Strategy methods run on the calling goroutine only and carry no such
-// requirement; passing workers = 1 (or Planner WithParallelism(1))
-// opts any entry point out of concurrency.
+// Concurrency: the Planner and every optimizer or simulator called
+// with a worker count other than 1 call Model methods from multiple
+// goroutines, so implementations used there must be safe for
+// concurrent use (the in-repo empirical and parametric models are —
+// they are read-only after construction). The Strategy methods run on
+// the calling goroutine only and carry no such requirement; passing
+// workers = 1 (or Planner WithParallelism(1)) opts any entry point out
+// of concurrency.
 type Model interface {
 	// Ftilde returns F̃R(t) = (1-ρ)·FR(t) = P(R < t), the probability
 	// that a submitted job starts before t.

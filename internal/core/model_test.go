@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -194,7 +195,10 @@ func TestEJMultipleMonotoneInB(t *testing.T) {
 	// And the optimized EJ is monotone too, with shrinking σ.
 	prevEJ, prevSigma := math.Inf(1), math.Inf(1)
 	for b := 1; b <= 10; b++ {
-		_, ev := OptimizeMultiple(m, b)
+		_, ev, err := OptimizeMultiple(context.Background(), m, b, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ev.EJ > prevEJ+1e-9 {
 			t.Fatalf("optimal EJ not monotone at b=%d: %v > %v", b, ev.EJ, prevEJ)
 		}
@@ -254,7 +258,7 @@ func TestSingleMCMatchesAnalytic(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tInf := 500.0
 	want := EJSingle(m, tInf)
-	sim, err := SimulateSingle(m, tInf, 150000, rng)
+	sim, err := SimulateSingle(context.Background(), m, tInf, 150000, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +282,7 @@ func TestMultipleMCMatchesAnalytic(t *testing.T) {
 	for _, b := range []int{2, 5} {
 		tInf := 700.0
 		want := EJMultiple(m, b, tInf)
-		sim, err := SimulateMultiple(m, b, tInf, 60000, rng)
+		sim, err := SimulateMultiple(context.Background(), m, b, tInf, 60000, rng, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -295,16 +299,16 @@ func TestMultipleMCMatchesAnalytic(t *testing.T) {
 func TestSimulationInputErrors(t *testing.T) {
 	m := testEmpirical(t)
 	rng := rand.New(rand.NewSource(1))
-	if _, err := SimulateSingle(m, 500, 0, rng); err == nil {
+	if _, err := SimulateSingle(context.Background(), m, 500, 0, rng, 1); err == nil {
 		t.Fatal("zero runs should fail")
 	}
-	if _, err := SimulateSingle(m, 1e-9, 10, rng); err != ErrNoSuccessMass {
+	if _, err := SimulateSingle(context.Background(), m, 1e-9, 10, rng, 1); err != ErrNoSuccessMass {
 		t.Fatal("zero success mass should fail")
 	}
-	if _, err := SimulateMultiple(m, 2, 1e-9, 10, rng); err != ErrNoSuccessMass {
+	if _, err := SimulateMultiple(context.Background(), m, 2, 1e-9, 10, rng, 1); err != ErrNoSuccessMass {
 		t.Fatal("zero success mass should fail for multiple")
 	}
-	if _, err := SimulateDelayed(m, DelayedParams{T0: 100, TInf: 300}, 10, rng); err == nil {
+	if _, err := SimulateDelayed(context.Background(), m, DelayedParams{T0: 100, TInf: 300}, 10, rng, 1); err == nil {
 		t.Fatal("invalid delayed params should fail")
 	}
 }

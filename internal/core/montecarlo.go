@@ -39,7 +39,7 @@ func checkSimInputs(m Model, tInf float64, runs int) error {
 }
 
 // simCancelStride is how many Monte Carlo runs execute between two
-// context checks in the ctx-aware simulators; the same stride bounds
+// context checks in the simulators; the same stride bounds
 // the resubmission rounds of a single run, which can themselves be
 // near-unbounded when F̃R(t∞) is tiny.
 const simCancelStride = 256
@@ -208,17 +208,12 @@ func simulateSharded(ctx context.Context, runs, workers int, rng *rand.Rand,
 
 // SimulateSingle replays the single-resubmission strategy: submit,
 // cancel at tInf, resubmit, until a job starts. It validates Eq. 1–2.
-// It runs on the calling goroutine only, so m need not be safe for
-// concurrent use; pass workers to SimulateSingleCtx to parallelize.
-func SimulateSingle(m Model, tInf float64, runs int, rng *rand.Rand) (SimResult, error) {
-	return SimulateSingleCtx(context.Background(), m, tInf, runs, rng, 1)
-}
-
-// SimulateSingleCtx is SimulateSingle with cancellation (checked every
-// simCancelStride runs) and a worker count: runs are sharded across up
-// to `workers` goroutines (<= 0 means all cores, 1 is sequential). For
-// a fixed rng state the result is identical for every worker count.
-func SimulateSingleCtx(ctx context.Context, m Model, tInf float64, runs int, rng *rand.Rand, workers int) (SimResult, error) {
+// A done ctx is noticed every simCancelStride runs and its error
+// returned. Runs are sharded across up to `workers` goroutines (<= 0
+// means all cores; 1 runs on the calling goroutine only, so m need not
+// be safe for concurrent use). For a fixed rng state the result is
+// identical for every worker count.
+func SimulateSingle(ctx context.Context, m Model, tInf float64, runs int, rng *rand.Rand, workers int) (SimResult, error) {
 	if err := checkSimInputs(m, tInf, runs); err != nil {
 		return SimResult{}, err
 	}
@@ -255,15 +250,8 @@ func SimulateSingleCtx(ctx context.Context, m Model, tInf float64, runs int, rng
 // collection of b copies is submitted, all canceled when one starts;
 // the whole collection is resubmitted at tInf if none started. It
 // validates Eq. 3–4. An invalid collection size is returned as an
-// error. Like SimulateSingle it runs on the calling goroutine only.
-func SimulateMultiple(m Model, b int, tInf float64, runs int, rng *rand.Rand) (SimResult, error) {
-	return SimulateMultipleCtx(context.Background(), m, b, tInf, runs, rng, 1)
-}
-
-// SimulateMultipleCtx is SimulateMultiple with cancellation (checked
-// every simCancelStride runs) and a worker count (see
-// SimulateSingleCtx for the sharding contract).
-func SimulateMultipleCtx(ctx context.Context, m Model, b int, tInf float64, runs int, rng *rand.Rand, workers int) (SimResult, error) {
+// error; ctx and workers follow SimulateSingle's contract.
+func SimulateMultiple(ctx context.Context, m Model, b int, tInf float64, runs int, rng *rand.Rand, workers int) (SimResult, error) {
 	if err := ValidateB(b); err != nil {
 		return SimResult{}, err
 	}
@@ -308,16 +296,9 @@ func SimulateMultipleCtx(ctx context.Context, m Model, b int, tInf float64, runs
 // figure 4 of the paper describes it: a copy is submitted every T0
 // while nothing has started, each copy is canceled TInf after its own
 // submission, and everything is canceled the moment one copy starts.
-// N‖ is measured as copy-seconds in the system divided by J. Like
-// SimulateSingle it runs on the calling goroutine only.
-func SimulateDelayed(m Model, p DelayedParams, runs int, rng *rand.Rand) (SimResult, error) {
-	return SimulateDelayedCtx(context.Background(), m, p, runs, rng, 1)
-}
-
-// SimulateDelayedCtx is SimulateDelayed with cancellation (checked
-// every simCancelStride runs) and a worker count (see
-// SimulateSingleCtx for the sharding contract).
-func SimulateDelayedCtx(ctx context.Context, m Model, p DelayedParams, runs int, rng *rand.Rand, workers int) (SimResult, error) {
+// N‖ is measured as copy-seconds in the system divided by J. ctx and
+// workers follow SimulateSingle's contract.
+func SimulateDelayed(ctx context.Context, m Model, p DelayedParams, runs int, rng *rand.Rand, workers int) (SimResult, error) {
 	if err := p.Validate(); err != nil {
 		return SimResult{}, err
 	}

@@ -33,7 +33,7 @@ func (pointMassModel) Sample(rng *rand.Rand) float64             { return 0 }
 // started), matching NParallelGivenLatency.
 func TestSimulateDelayedZeroLatency(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	r, err := SimulateDelayed(pointMassModel{}, DelayedParams{T0: 100, TInf: 150}, 5000, rng)
+	r, err := SimulateDelayed(context.Background(), pointMassModel{}, DelayedParams{T0: 100, TInf: 150}, 5000, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func (bigMeanModel) Sample(rng *rand.Rand) float64 {
 // formula clamped it to 0.
 func TestSimulateSigmaLargeMean(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	r, err := SimulateSingle(bigMeanModel{}, 1.5e9, 40000, rng)
+	r, err := SimulateSingle(context.Background(), bigMeanModel{}, 1.5e9, 40000, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,13 +168,13 @@ func TestSimulateDeterministicAcrossWorkers(t *testing.T) {
 	}
 	cases := []simCase{
 		{"single", func(w int) (SimResult, error) {
-			return SimulateSingleCtx(ctx, m, 500, runs, rand.New(rand.NewSource(42)), w)
+			return SimulateSingle(ctx, m, 500, runs, rand.New(rand.NewSource(42)), w)
 		}},
 		{"multiple", func(w int) (SimResult, error) {
-			return SimulateMultipleCtx(ctx, m, 3, 600, runs, rand.New(rand.NewSource(42)), w)
+			return SimulateMultiple(ctx, m, 3, 600, runs, rand.New(rand.NewSource(42)), w)
 		}},
 		{"delayed", func(w int) (SimResult, error) {
-			return SimulateDelayedCtx(ctx, m, DelayedParams{T0: 339, TInf: 485}, runs, rand.New(rand.NewSource(42)), w)
+			return SimulateDelayed(ctx, m, DelayedParams{T0: 339, TInf: 485}, runs, rand.New(rand.NewSource(42)), w)
 		}},
 	}
 	for _, c := range cases {
@@ -202,7 +202,7 @@ func TestSimulateShardedCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 4} {
-		if _, err := SimulateSingleCtx(ctx, m, 500, 8*mcShardRuns, rand.New(rand.NewSource(1)), workers); err != context.Canceled {
+		if _, err := SimulateSingle(ctx, m, 500, 8*mcShardRuns, rand.New(rand.NewSource(1)), workers); err != context.Canceled {
 			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
 	}

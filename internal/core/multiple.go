@@ -77,23 +77,12 @@ func SigmaMultiple(m Model, b int, tInf float64) float64 {
 
 // OptimizeMultiple minimizes EJ over the timeout for a fixed
 // collection size b, returning the optimal t∞ and the evaluation at
-// the optimum (σJ included, Parallel = b).
-func OptimizeMultiple(m Model, b int) (tInf float64, ev Evaluation) {
-	checkB(b)
-	tInf, ev, err := OptimizeMultipleCtx(context.Background(), m, b, 1)
-	if err != nil {
-		panic(err) // background context: only a degenerate model bracket
-	}
-	return tInf, ev
-}
-
-// OptimizeMultipleCtx is OptimizeMultiple with parameter validation,
-// cancellation and a worker count: invalid b and degenerate timeout
-// brackets are returned as errors instead of panicking, a done ctx
-// aborts the scan, and the grid rounds fan across up to `workers`
+// the optimum (σJ included, Parallel = b). An invalid b and a
+// degenerate timeout bracket are errors, a done ctx aborts the scan
+// with its error, and the grid rounds fan across up to `workers`
 // goroutines (<= 0 means all cores; results are identical for every
 // count).
-func OptimizeMultipleCtx(ctx context.Context, m Model, b int, workers int) (float64, Evaluation, error) {
+func OptimizeMultiple(ctx context.Context, m Model, b int, workers int) (float64, Evaluation, error) {
 	if err := ValidateB(b); err != nil {
 		return 0, Evaluation{}, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -183,7 +184,7 @@ func TestPropertyCDFQuantileConsistency(t *testing.T) {
 
 func TestCompareDeadline(t *testing.T) {
 	m := testEmpirical(t)
-	rep, err := CompareDeadline(m, 600, 4)
+	rep, err := CompareDeadline(context.Background(), m, 600, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +209,17 @@ func TestCompareDeadline(t *testing.T) {
 			t.Fatalf("%s: P95 %v", e.Label, e.P95)
 		}
 	}
-	if _, err := CompareDeadline(m, -5, 2); err == nil {
+	if _, err := CompareDeadline(context.Background(), m, -5, 2, 1); err == nil {
 		t.Fatal("negative deadline should fail")
 	}
 
 	// Cross-check one quantile against Monte Carlo.
 	rng := rand.New(rand.NewSource(91))
-	tS, _ := OptimizeSingle(m)
-	sim, err := SimulateSingle(m, tS, 60000, rng)
+	tS, _, err := OptimizeSingle(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := SimulateSingle(context.Background(), m, tS, 60000, rng, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,18 +38,12 @@ func SigmaSingle(m Model, tInf float64) float64 {
 // OptimizeSingle minimizes EJ over the timeout t∞ and returns the
 // optimum with the matching σJ. The scan covers (0, m.UpperBound()]
 // with a multimodality-robust grid search refined to sub-second
-// precision.
-func OptimizeSingle(m Model) (tInf float64, ev Evaluation) {
-	tInf, ev = OptimizeMultiple(m, 1)
-	return tInf, ev
-}
-
-// OptimizeSingleCtx is OptimizeSingle with cancellation (the scan
-// aborts between objective evaluations once ctx is done and the
-// context's error is returned) and a worker count for the grid rounds
-// (<= 0 means all cores; results are identical for every count).
-func OptimizeSingleCtx(ctx context.Context, m Model, workers int) (float64, Evaluation, error) {
-	return OptimizeMultipleCtx(ctx, m, 1, workers)
+// precision. A done ctx aborts the scan between objective evaluations
+// and its error is returned; the grid rounds fan across up to
+// `workers` goroutines (<= 0 means all cores; results are identical
+// for every count).
+func OptimizeSingle(ctx context.Context, m Model, workers int) (float64, Evaluation, error) {
+	return OptimizeMultiple(ctx, m, 1, workers)
 }
 
 // timeoutLowerBracket returns a small positive lower bound for timeout

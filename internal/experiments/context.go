@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -66,7 +67,7 @@ func (c *Context) Cost(name string) (*core.CostContext, error) {
 	if err != nil {
 		return nil, err
 	}
-	cc, err := core.NewCostContext(m)
+	cc, err := core.NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: cost context for %s: %w", name, err)
 	}
@@ -89,7 +90,10 @@ func (c *Context) CostOptimum(name string) (core.CostResult, error) {
 	if err != nil {
 		return core.CostResult{}, err
 	}
-	r := cc.OptimizeDelayedCost()
+	r, err := cc.OptimizeDelayedCost(context.Background(), 1)
+	if err != nil {
+		return core.CostResult{}, err
+	}
 	c.mu.Lock()
 	c.costOpts[name] = r
 	c.mu.Unlock()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -31,9 +32,13 @@ func ExtDelayedRoutes(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		p, ev := core.OptimizeDelayedRatio(m, 1.4)
+		ps, evs, err := core.OptimizeDelayedRatios(context.Background(), m, []float64{1.4}, 1)
+		if err != nil {
+			return nil, err
+		}
+		p, ev := ps[0], evs[0]
 		rng := rand.New(rand.NewSource(2009))
-		sim, err := core.SimulateDelayed(m, p, 60000, rng)
+		sim, err := core.SimulateDelayed(context.Background(), m, p, 60000, rng, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -74,7 +79,10 @@ func ExtBootstrap(c *Context) (*Table, error) {
 	t.AddRow("EJ single @ opt t-inf", fmtS(ciS.Point), fmtS(ciS.Lo), fmtS(ciS.Hi),
 		fmtPct((ciS.Hi-ciS.Lo)/ciS.Point))
 
-	opt := cc.OptimizeDelayedCost()
+	opt, err := c.CostOptimum(ReferenceDataset)
+	if err != nil {
+		return nil, err
+	}
 	ciD, err := core.BootstrapDelayedEJ(m, opt.Params, 400, 0.95, rng)
 	if err != nil {
 		return nil, err
@@ -114,11 +122,20 @@ func ExtMakespan(c *Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ests, err := workload.Compare(app,
-			workload.SingleStrategy(m),
-			workload.MultipleStrategy(m, 2),
-			workload.MultipleStrategy(m, 5),
-			workload.DelayedStrategy(m))
+		strategies := make([]workload.Strategy, 4)
+		if strategies[0], err = workload.SingleStrategy(m); err != nil {
+			return nil, err
+		}
+		if strategies[1], err = workload.MultipleStrategy(m, 2); err != nil {
+			return nil, err
+		}
+		if strategies[2], err = workload.MultipleStrategy(m, 5); err != nil {
+			return nil, err
+		}
+		if strategies[3], err = workload.DelayedStrategy(m); err != nil {
+			return nil, err
+		}
+		ests, err := workload.Compare(app, strategies...)
 		if err != nil {
 			return nil, err
 		}

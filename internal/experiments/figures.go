@@ -83,7 +83,10 @@ func Figure3(c *Context) (*Figure, error) {
 		}
 		var ej, sig []Point
 		for b := 1; b <= 10; b++ {
-			_, ev := core.OptimizeMultiple(m, b)
+			_, ev, err := core.OptimizeMultiple(context.Background(), m, b, 1)
+			if err != nil {
+				return nil, err
+			}
 			ej = append(ej, Point{X: float64(b), Y: ev.EJ})
 			sig = append(sig, Point{X: float64(b), Y: ev.Sigma})
 		}
@@ -102,7 +105,10 @@ func Figure4(c *Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, _ := core.OptimizeDelayed(m)
+	p, _, err := core.OptimizeDelayed(context.Background(), m, 1)
+	if err != nil {
+		return nil, err
+	}
 	t := &Table{
 		ID: "figure4",
 		Title: fmt.Sprintf("Delayed strategy timeline at t0=%s t-inf=%s (I0 = two copies racing, I1 = one copy)",
@@ -120,7 +126,7 @@ func Figure4(c *Context) (*Table, error) {
 		)
 	}
 	rng := rand.New(rand.NewSource(4))
-	sim, err := core.SimulateDelayed(m, p, 1, rng)
+	sim, err := core.SimulateDelayed(context.Background(), m, p, 1, rng, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +161,10 @@ func Figure5(c *Context) (*Figure, error) {
 			f.AddCurve(fmt.Sprintf("t0=%.0f", t0), pts)
 		}
 	}
-	p, ev := core.OptimizeDelayed(m)
+	p, ev, err := core.OptimizeDelayed(context.Background(), m, 1)
+	if err != nil {
+		return nil, err
+	}
 	f.Notes = append(f.Notes, fmt.Sprintf(
 		"surface minimum: EJ = %s at t0 = %s, t-inf = %s", fmtS(ev.EJ), fmtS(p.T0), fmtS(p.TInf)))
 	return f, nil
@@ -175,7 +184,7 @@ func Figure6(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "minimal EJ (s)",
 	}
-	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, figureRatioSweep, 1)
+	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, figureRatioSweep, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +195,10 @@ func Figure6(c *Context) (*Figure, error) {
 	f.AddCurve("delayed submission strategy", delayed)
 	var multiple []Point
 	for b := 1; b <= 5; b++ {
-		_, ev := core.OptimizeMultiple(m, b)
+		_, ev, err := core.OptimizeMultiple(context.Background(), m, b, 1)
+		if err != nil {
+			return nil, err
+		}
 		multiple = append(multiple, Point{X: float64(b), Y: ev.EJ})
 	}
 	f.AddCurve("multiple submissions strategy", multiple)
@@ -211,7 +223,10 @@ func Figure7(c *Context) (*Table, error) {
 	}
 	t.AddRow("single resubmission", "1", "100%", fmtF(1, 2))
 	for _, b := range []int{2, 4} {
-		_, ev, _ := cc.DeltaMultiple(b)
+		_, ev, _, err := cc.DeltaMultiple(context.Background(), b, 1)
+		if err != nil {
+			return nil, err
+		}
 		frac := ev.EJ / cc.RefEJ
 		t.AddRow(fmt.Sprintf("multiple (b=%d)", b), fmt.Sprintf("%d", b),
 			fmt.Sprintf("%.1f%%", frac*100), fmtF(float64(b)*frac, 2))
@@ -238,7 +253,7 @@ func Figure8(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "d-cost",
 	}
-	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, figureRatioSweep, 1)
+	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, figureRatioSweep, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -249,12 +264,17 @@ func Figure8(c *Context) (*Figure, error) {
 	f.AddCurve("delayed submission strategy", delayed)
 	var multiple []Point
 	for b := 1; b <= 5; b++ {
-		_, ev, delta := cc.DeltaMultiple(b)
-		_ = ev
+		_, _, delta, err := cc.DeltaMultiple(context.Background(), b, 1)
+		if err != nil {
+			return nil, err
+		}
 		multiple = append(multiple, Point{X: float64(b), Y: delta})
 	}
 	f.AddCurve("multiple submissions strategy", multiple)
-	res := cc.OptimizeDelayedCost()
+	res, err := c.CostOptimum(ReferenceDataset)
+	if err != nil {
+		return nil, err
+	}
 	f.Notes = append(f.Notes, fmt.Sprintf(
 		"global d-cost minimum %.3f at t0=%s t-inf=%s", res.Delta, fmtS(res.Params.T0), fmtS(res.Params.TInf)))
 	return f, nil

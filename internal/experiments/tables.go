@@ -59,7 +59,10 @@ func Table2(c *Context) (*Table, error) {
 	var ej1 float64
 	var prevEJ float64
 	for b := 1; b <= 20; b++ {
-		tInf, ev := core.OptimizeMultiple(m, b)
+		tInf, ev, err := core.OptimizeMultiple(context.Background(), m, b, 1)
+		if err != nil {
+			return nil, err
+		}
 		row := []string{
 			fmt.Sprintf("%d", b), fmtS(tInf), fmtS(ev.EJ), fmtS(ev.Sigma),
 		}
@@ -96,7 +99,7 @@ func Table3(c *Context) (*Table, error) {
 		Title:   fmt.Sprintf("Delayed resubmission on %s per imposed ratio (single resubmission EJ = %s)", ReferenceDataset, fmtS(cc.RefEJ)),
 		Headers: []string{"t-inf/t0", "N//", "best t-inf", "best t0", "min EJ", "d(100%)"},
 	}
-	ps, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, table3Ratios, 1)
+	ps, evs, err := core.OptimizeDelayedRatios(context.Background(), m, table3Ratios, 1)
 	if err != nil {
 		return nil, err
 	}
@@ -135,11 +138,14 @@ func Table4(c *Context) (*Table, error) {
 	multiBs := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 20, 40, 60, 80, 100}
 	multi := make([]multiRow, 0, len(multiBs))
 	for _, b := range multiBs {
-		_, ev, delta := cc.DeltaMultiple(b)
+		_, ev, delta, err := cc.DeltaMultiple(context.Background(), b, 1)
+		if err != nil {
+			return nil, err
+		}
 		multi = append(multi, multiRow{b: b, ej: ev.EJ, delta: delta})
 	}
 	ratios := append([]float64{1.05}, table3Ratios...)
-	_, evs, err := core.OptimizeDelayedRatiosCtx(context.Background(), m, ratios, 1)
+	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, ratios, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package gridsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -92,12 +93,18 @@ func TestSimulatedTraceFeedsCoreModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tInf, ev := core.OptimizeSingle(m)
+	tInf, ev, err := core.OptimizeSingle(context.Background(), m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.IsInf(ev.EJ, 1) || tInf <= 0 {
 		t.Fatalf("optimization failed: t∞=%v EJ=%v", tInf, ev.EJ)
 	}
 	// Multiple submission must reduce expected latency on this trace.
-	_, ev2 := core.OptimizeMultiple(m, 3)
+	_, ev2, err := core.OptimizeMultiple(context.Background(), m, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !(ev2.EJ < ev.EJ) {
 		t.Fatalf("b=3 EJ %v not below single %v", ev2.EJ, ev.EJ)
 	}

@@ -214,7 +214,8 @@ func newModelStateSketch(tr *trace.Trace, sk *stats.Sketch, base *stats.ECDF, pr
 // state's Model is the memoizing wrapper of a throwaway Planner, so
 // every per-request Planner constructed over it shares one integral
 // cache (NewPlanner detects an already-memoized model and does not
-// double-wrap).
+// double-wrap; TestPlannersShareOneMemo pins this). The memo holds
+// the four integrals only; F̃ points go straight to the base model.
 func assembleModelState(tr *trace.Trace, dist stats.EmpiricalDistribution, rho float64, st trace.Stats, version int64) (*ModelState, error) {
 	em, err := core.NewEmpiricalModelDist(dist, rho, tr.Timeout)
 	if err != nil {

@@ -185,7 +185,11 @@ func SmallestMeetingDeadlineContended(m core.Model, demands []ClassDemand, capac
 		if !alloc.Feasible && bCap >= 1 {
 			// Report what the class would have achieved at its ceiling
 			// so the caller can see how far off the deadline it is.
-			est, err := EstimateMakespan(d.App, MultipleStrategy(m, bCap))
+			s, err := MultipleStrategy(m, bCap)
+			if err != nil {
+				return nil, 0, err
+			}
+			est, err := EstimateMakespan(d.App, s)
 			if err != nil {
 				return nil, 0, err
 			}

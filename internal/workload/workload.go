@@ -12,6 +12,7 @@
 package workload
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -28,39 +29,49 @@ type Strategy struct {
 }
 
 // SingleStrategy builds the optimized single-resubmission law.
-func SingleStrategy(m core.Model) Strategy {
-	tInf, ev := core.OptimizeSingle(m)
+func SingleStrategy(m core.Model) (Strategy, error) {
+	tInf, ev, err := core.OptimizeSingle(context.Background(), m, 1)
+	if err != nil {
+		return Strategy{}, err
+	}
 	return Strategy{
 		Name: "single",
 		CDF:  core.SingleCDF(m, tInf),
 		EJ:   ev.EJ,
 		Load: 1,
 		Hint: tInf,
-	}
+	}, nil
 }
 
-// MultipleStrategy builds the optimized b-fold submission law.
-func MultipleStrategy(m core.Model, b int) Strategy {
-	tInf, ev := core.OptimizeMultiple(m, b)
+// MultipleStrategy builds the optimized b-fold submission law; an
+// invalid b is an error.
+func MultipleStrategy(m core.Model, b int) (Strategy, error) {
+	tInf, ev, err := core.OptimizeMultiple(context.Background(), m, b, 1)
+	if err != nil {
+		return Strategy{}, err
+	}
 	return Strategy{
 		Name: fmt.Sprintf("multiple(b=%d)", b),
 		CDF:  core.MultipleCDF(m, b, tInf),
 		EJ:   ev.EJ,
 		Load: float64(b),
 		Hint: tInf,
-	}
+	}, nil
 }
 
 // DelayedStrategy builds the EJ-optimal delayed-resubmission law.
-func DelayedStrategy(m core.Model) Strategy {
-	p, ev := core.OptimizeDelayed(m)
+func DelayedStrategy(m core.Model) (Strategy, error) {
+	p, ev, err := core.OptimizeDelayed(context.Background(), m, 1)
+	if err != nil {
+		return Strategy{}, err
+	}
 	return Strategy{
 		Name: fmt.Sprintf("delayed(t0=%.0f,t∞=%.0f)", p.T0, p.TInf),
 		CDF:  core.DelayedCDF(m, p),
 		EJ:   ev.EJ,
 		Load: ev.Parallel,
 		Hint: p.T0,
-	}
+	}, nil
 }
 
 // Application is a bag of independent tasks executed in fixed-width
@@ -149,7 +160,11 @@ func SmallestMeetingDeadline(m core.Model, a Application, deadline float64, maxB
 		return 0, MakespanEstimate{}, fmt.Errorf("workload: invalid deadline %v or maxB %d", deadline, maxB)
 	}
 	for b := 1; b <= maxB; b++ {
-		est, err := EstimateMakespan(a, MultipleStrategy(m, b))
+		s, err := MultipleStrategy(m, b)
+		if err != nil {
+			return 0, MakespanEstimate{}, err
+		}
+		est, err := EstimateMakespan(a, s)
 		if err != nil {
 			return 0, MakespanEstimate{}, err
 		}

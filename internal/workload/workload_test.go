@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -49,7 +50,10 @@ func TestApplicationValidate(t *testing.T) {
 
 func TestMakespanSingleTaskReducesToEJ(t *testing.T) {
 	m := testModel(t)
-	s := SingleStrategy(m)
+	s, err := SingleStrategy(m)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := Application{Tasks: 1, WaveWidth: 1, Runtime: 0}
 	est, err := EstimateMakespan(a, s)
 	if err != nil {
@@ -62,7 +66,10 @@ func TestMakespanSingleTaskReducesToEJ(t *testing.T) {
 
 func TestMakespanGrowsWithWidthAndTasks(t *testing.T) {
 	m := testModel(t)
-	s := MultipleStrategy(m, 2)
+	s, err := MultipleStrategy(m, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base, err := EstimateMakespan(Application{Tasks: 100, WaveWidth: 50, Runtime: 60}, s)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +95,19 @@ func TestMakespanGrowsWithWidthAndTasks(t *testing.T) {
 func TestMakespanStrategyOrdering(t *testing.T) {
 	m := testModel(t)
 	a := Application{Tasks: 300, WaveWidth: 60, Runtime: 120}
-	ests, err := Compare(a, SingleStrategy(m), MultipleStrategy(m, 5), DelayedStrategy(m))
+	sSingle, err := SingleStrategy(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sMulti, err := MultipleStrategy(m, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sDelayed, err := DelayedStrategy(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests, err := Compare(a, sSingle, sMulti, sDelayed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,8 +130,14 @@ func TestMakespanStrategyOrdering(t *testing.T) {
 func TestMakespanMatchesMonteCarlo(t *testing.T) {
 	m := testModel(t)
 	b := 3
-	tInf, _ := core.OptimizeMultiple(m, b)
-	s := MultipleStrategy(m, b)
+	tInf, _, err := core.OptimizeMultiple(context.Background(), m, b, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := MultipleStrategy(m, b)
+	if err != nil {
+		t.Fatal(err)
+	}
 	a := Application{Tasks: 40, WaveWidth: 40, Runtime: 0}
 	est, err := EstimateMakespan(a, s)
 	if err != nil {

@@ -174,7 +174,6 @@ func TestMemoCacheRejectsNaN(t *testing.T) {
 	}
 	nan := math.NaN()
 	for i := 0; i < 100; i++ {
-		mm.Ftilde(nan)
 		mm.IntOneMinusFPow(nan, 2)
 		mm.IntUOneMinusFPow(nan, 2)
 		mm.IntProdOneMinusF(nan, 100)
@@ -182,21 +181,21 @@ func TestMemoCacheRejectsNaN(t *testing.T) {
 		mm.IntUProdOneMinusF(nan, nan)
 	}
 	mm.mu.Lock()
-	total := len(mm.ftilde) + len(mm.pow) + len(mm.upow) + len(mm.prod) + len(mm.uprod)
+	total := len(mm.pow) + len(mm.upow) + len(mm.prod) + len(mm.uprod)
 	mm.mu.Unlock()
 	if total != 0 {
 		t.Fatalf("NaN queries grew the memo cache to %d entries", total)
 	}
 	// Sanity: non-NaN queries still populate and hit the cache.
-	v1 := mm.Ftilde(500)
-	v2 := mm.Ftilde(500)
+	v1 := mm.IntProdOneMinusF(500, 100)
+	v2 := mm.IntProdOneMinusF(500, 100)
 	if v1 != v2 {
 		t.Fatalf("cache returned different values %v vs %v", v1, v2)
 	}
 	mm.mu.Lock()
-	n := len(mm.ftilde)
+	n := len(mm.prod)
 	mm.mu.Unlock()
 	if n != 1 {
-		t.Fatalf("expected exactly one cached Ftilde entry, got %d", n)
+		t.Fatalf("expected exactly one cached IntProdOneMinusF entry, got %d", n)
 	}
 }

@@ -24,10 +24,11 @@ var (
 // Planner is the high-level facade over the strategy models: it owns a
 // latency model, a parallel-copy budget, an optional deadline and cost
 // ceiling, a context for cancelling long optimizations, a random
-// source for Monte Carlo, and an execution parallelism degree. All
-// integral evaluations on the model are memoized behind the Planner,
-// so repeated queries (Recommend, then Rank, then CompareDeadline on
-// the same model) are cheap.
+// source for Monte Carlo, and an execution parallelism degree. The
+// model's four integrals (not its F̃ points, which are cheaper to
+// recompute) are memoized behind the Planner, so repeated queries
+// (Recommend, then Rank, then CompareDeadline on the same model) are
+// cheap.
 //
 // A Planner is safe for concurrent use, including Simulate: the
 // configured random source is only ever consumed under the Planner's
@@ -168,8 +169,10 @@ func WithCollectionSize(b int) PlannerOption {
 }
 
 // NewPlanner builds a Planner over the latency model. The model's
-// integral evaluations are memoized for the Planner's lifetime, so
-// build one Planner per model and reuse it across queries.
+// integral evaluations (not its F̃ points) are memoized for the
+// Planner's lifetime, so build one Planner per model and reuse it
+// across queries. A model returned by another Planner's Model is not
+// wrapped again: both Planners share one memo.
 func NewPlanner(m Model, opts ...PlannerOption) (*Planner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("gridstrat: nil model")
@@ -190,8 +193,8 @@ func NewPlanner(m Model, opts ...PlannerOption) (*Planner, error) {
 }
 
 // Model returns the Planner's memoized model. It satisfies Model and
-// can be passed to any free function in this package; evaluations made
-// through it share the Planner's cache.
+// can be passed to any free function in this package or to NewPlanner;
+// integral evaluations made through it share the Planner's cache.
 func (p *Planner) Model() Model { return p.model }
 
 // costContext establishes (once) the single-resubmission cost
@@ -202,7 +205,7 @@ func (p *Planner) costContext() (*core.CostContext, error) {
 	if p.cc != nil {
 		return p.cc, nil
 	}
-	cc, err := core.NewCostContextCtx(p.cfg.ctx, p.model, p.cfg.parallelism)
+	cc, err := core.NewCostContext(p.cfg.ctx, p.model, p.cfg.parallelism)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +260,7 @@ func (p *Planner) Recommend() (Recommendation, error) {
 
 	// Multiple submission with the largest affordable collection.
 	if b := affordableB(p.cfg.maxParallel); b >= 2 {
-		tInf, ev, err := core.OptimizeMultipleCtx(p.cfg.ctx, p.model, b, p.cfg.parallelism)
+		tInf, ev, err := core.OptimizeMultiple(p.cfg.ctx, p.model, b, p.cfg.parallelism)
 		if err != nil {
 			return Recommendation{}, err
 		}
@@ -268,7 +271,7 @@ func (p *Planner) Recommend() (Recommendation, error) {
 	}
 
 	// Delayed: sweep ratios, keep budget-compatible configurations.
-	dps, evs, err := core.OptimizeDelayedRatiosCtx(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -317,14 +320,14 @@ func (p *Planner) RecommendForClass(pol ClassPolicy) (ClassRecommendation, error
 		maxB = classMaxB
 	}
 	for b := 2; b <= maxB; b++ {
-		tInf, ev, err := core.OptimizeMultipleCtx(p.cfg.ctx, p.model, b, p.cfg.parallelism)
+		tInf, ev, err := core.OptimizeMultiple(p.cfg.ctx, p.model, b, p.cfg.parallelism)
 		if err != nil {
 			return ClassRecommendation{}, err
 		}
 		candidates = append(candidates, Recommendation{
 			Strategy: StrategyMultiple, TInf: tInf, B: b, Eval: ev, Delta: cc.Delta(ev.EJ, float64(b))})
 	}
-	dps, evs, err := core.OptimizeDelayedRatiosCtx(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
 	if err != nil {
 		return ClassRecommendation{}, err
 	}
@@ -402,7 +405,7 @@ func (p *Planner) RecommendCheapest() (Recommendation, error) {
 		return Recommendation{}, err
 	}
 	best := p.singleBaseline(cc)
-	res, err := cc.OptimizeDelayedCostCtx(p.cfg.ctx, p.cfg.parallelism)
+	res, err := cc.OptimizeDelayedCost(p.cfg.ctx, p.cfg.parallelism)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -435,7 +438,7 @@ func (p *Planner) CompareDeadline() (DeadlineReport, error) {
 	if p.cfg.deadline <= 0 {
 		return DeadlineReport{}, fmt.Errorf("gridstrat: no deadline configured (use WithDeadline)")
 	}
-	return core.CompareDeadlineCtx(p.cfg.ctx, p.model, p.cfg.deadline, p.cfg.b, p.cfg.parallelism)
+	return core.CompareDeadline(p.cfg.ctx, p.model, p.cfg.deadline, p.cfg.b, p.cfg.parallelism)
 }
 
 // Optimize tunes a strategy's free parameters on the Planner's model
@@ -608,30 +611,32 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 
 // --- Memoized model ---
 
-// memoCache wraps a Model and caches its pointwise and integral
-// evaluations. The strategy optimizers hammer the same integrals at
-// the same grid points across queries (Recommend's ratio sweep,
-// CompareDeadline's three optimizations, Rank), so one Planner-level
-// cache makes repeated queries on one model cheap. Sample is
-// deliberately not cached.
+// memoCache wraps a Model and caches its four integrals. The strategy
+// optimizers hammer the same integrals at the same grid points across
+// queries (Recommend's ratio sweep, CompareDeadline's three
+// optimizations, Rank), so one Planner-level cache makes repeated
+// queries on one model cheap. F̃, ρ, the upper bound and Sample are the
+// embedded base model's own: an ECDF's F̃ is one binary search, cheaper
+// than a lookup in a mutex-guarded map, and a cold Recommend would
+// insert tens of thousands of F̃ keys that only a repeated query on the
+// same Planner could hit.
 //
 // NaN arguments bypass the cache entirely: NaN != NaN, so a NaN key
 // could never be hit again and every NaN query would leak one dead map
-// entry. With NaN excluded, total memory is bounded by the five maps ×
+// entry. With NaN excluded, total memory is bounded by the four maps ×
 // memoLimit entries each (each map is reset wholesale when full).
 //
 // A memoCache has no batch kernels, so the optimizers scan it point by
 // point and every grid point is a cached scalar lookup; a base model
 // with its own kernels is wrapped in a memoModel instead.
 type memoCache struct {
-	base Model
+	Model // the base model
 
-	mu     sync.Mutex
-	ftilde map[float64]float64
-	pow    map[powKey]float64
-	upow   map[powKey]float64
-	prod   map[prodKey]float64
-	uprod  map[prodKey]float64
+	mu    sync.Mutex
+	pow   map[powKey]float64
+	upow  map[powKey]float64
+	prod  map[prodKey]float64
+	uprod map[prodKey]float64
 }
 
 // memoModel is the memo cache over a base model that brings its own
@@ -666,12 +671,11 @@ func newMemoModel(m Model) Model {
 		return m
 	}
 	c := &memoCache{
-		base:   m,
-		ftilde: make(map[float64]float64),
-		pow:    make(map[powKey]float64),
-		upow:   make(map[powKey]float64),
-		prod:   make(map[prodKey]float64),
-		uprod:  make(map[prodKey]float64),
+		Model: m,
+		pow:   make(map[powKey]float64),
+		upow:  make(map[powKey]float64),
+		prod:  make(map[prodKey]float64),
+		uprod: make(map[prodKey]float64),
 	}
 	if bi, ok := m.(core.BatchIntegrals); ok {
 		return &memoModel{memoCache: c, BatchIntegrals: bi}
@@ -679,28 +683,18 @@ func newMemoModel(m Model) Model {
 	return c
 }
 
-func (m *memoCache) Ftilde(t float64) float64 {
-	if math.IsNaN(t) {
-		return m.base.Ftilde(t)
-	}
-	return cached(&m.mu, &m.ftilde, t, func() float64 { return m.base.Ftilde(t) })
-}
-
-func (m *memoCache) Rho() float64        { return m.base.Rho() }
-func (m *memoCache) UpperBound() float64 { return m.base.UpperBound() }
-
 func (m *memoCache) IntOneMinusFPow(T float64, b int) float64 {
 	if math.IsNaN(T) {
-		return m.base.IntOneMinusFPow(T, b)
+		return m.Model.IntOneMinusFPow(T, b)
 	}
-	return cached(&m.mu, &m.pow, powKey{t: T, b: b}, func() float64 { return m.base.IntOneMinusFPow(T, b) })
+	return cached(&m.mu, &m.pow, powKey{t: T, b: b}, func() float64 { return m.Model.IntOneMinusFPow(T, b) })
 }
 
 func (m *memoCache) IntUOneMinusFPow(T float64, b int) float64 {
 	if math.IsNaN(T) {
-		return m.base.IntUOneMinusFPow(T, b)
+		return m.Model.IntUOneMinusFPow(T, b)
 	}
-	return cached(&m.mu, &m.upow, powKey{t: T, b: b}, func() float64 { return m.base.IntUOneMinusFPow(T, b) })
+	return cached(&m.mu, &m.upow, powKey{t: T, b: b}, func() float64 { return m.Model.IntUOneMinusFPow(T, b) })
 }
 
 // IntProdBothOneMinusF implements core.ProdBothIntegrals through the
@@ -712,16 +706,16 @@ func (m *memoCache) IntProdBothOneMinusF(T, shift float64) (plain, uweighted flo
 
 func (m *memoCache) IntProdOneMinusF(T, shift float64) float64 {
 	if math.IsNaN(T) || math.IsNaN(shift) {
-		return m.base.IntProdOneMinusF(T, shift)
+		return m.Model.IntProdOneMinusF(T, shift)
 	}
-	return cached(&m.mu, &m.prod, prodKey{t: T, shift: shift}, func() float64 { return m.base.IntProdOneMinusF(T, shift) })
+	return cached(&m.mu, &m.prod, prodKey{t: T, shift: shift}, func() float64 { return m.Model.IntProdOneMinusF(T, shift) })
 }
 
 func (m *memoCache) IntUProdOneMinusF(T, shift float64) float64 {
 	if math.IsNaN(T) || math.IsNaN(shift) {
-		return m.base.IntUProdOneMinusF(T, shift)
+		return m.Model.IntUProdOneMinusF(T, shift)
 	}
-	return cached(&m.mu, &m.uprod, prodKey{t: T, shift: shift}, func() float64 { return m.base.IntUProdOneMinusF(T, shift) })
+	return cached(&m.mu, &m.uprod, prodKey{t: T, shift: shift}, func() float64 { return m.Model.IntUProdOneMinusF(T, shift) })
 }
 
 // cached is the memoModel lookup-or-compute step: the value is
@@ -746,5 +740,3 @@ func cached[K comparable](mu *sync.Mutex, slot *map[K]float64, k K, compute func
 	mu.Unlock()
 	return v
 }
-
-func (m *memoCache) Sample(rng *rand.Rand) float64 { return m.base.Sample(rng) }

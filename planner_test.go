@@ -19,13 +19,15 @@ import (
 // optimizes one ratio per call, so it also proves that the Planner's
 // shared ratio search equals per-ratio searches.
 func legacyRecommend(m Model, maxParallel float64) (Recommendation, error) {
-	return legacyRecommendWith(m, maxParallel, core.OptimizeDelayedRatio)
+	return legacyRecommendWith(m, maxParallel, func(m Model, ratio float64) (DelayedParams, Evaluation, error) {
+		return OptimizeDelayedRatio(context.Background(), m, ratio, 1)
+	})
 }
 
 // legacyRecommendWith is legacyRecommend with the per-ratio delayed
 // optimizer as a parameter.
-func legacyRecommendWith(m Model, maxParallel float64, optimizeRatio func(core.Model, float64) (DelayedParams, Evaluation)) (Recommendation, error) {
-	cc, err := core.NewCostContext(m)
+func legacyRecommendWith(m Model, maxParallel float64, optimizeRatio func(Model, float64) (DelayedParams, Evaluation, error)) (Recommendation, error) {
+	cc, err := core.NewCostContext(context.Background(), m, 1)
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -36,13 +38,19 @@ func legacyRecommendWith(m Model, maxParallel float64, optimizeRatio func(core.M
 		Delta:    1,
 	}
 	if b := int(maxParallel); b >= 2 {
-		tInf, ev, delta := cc.DeltaMultiple(b)
+		tInf, ev, delta, err := cc.DeltaMultiple(context.Background(), b, 1)
+		if err != nil {
+			return Recommendation{}, err
+		}
 		if ev.EJ < best.Eval.EJ {
 			best = Recommendation{Strategy: StrategyMultiple, TInf: tInf, B: b, Eval: ev, Delta: delta}
 		}
 	}
 	for _, ratio := range []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0} {
-		p, ev := optimizeRatio(m, ratio)
+		p, ev, err := optimizeRatio(m, ratio)
+		if err != nil {
+			return Recommendation{}, err
+		}
 		if math.IsInf(ev.EJ, 1) || ev.Parallel > maxParallel {
 			continue
 		}
@@ -152,13 +160,13 @@ func TestRecommendMatchesOracleScanOnPaperDatasets(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracle := map[float64]Recommendation{}
-		oracleRatio := func(m core.Model, ratio float64) (DelayedParams, Evaluation) {
+		oracleRatio := func(m Model, ratio float64) (DelayedParams, Evaluation, error) {
 			if r, ok := oracle[ratio]; ok {
-				return r.Delayed, r.Eval
+				return r.Delayed, r.Eval, nil
 			}
 			p, ev := oracleDelayedRatio(m, ratio)
 			oracle[ratio] = Recommendation{Delayed: p, Eval: ev}
-			return p, ev
+			return p, ev, nil
 		}
 		for _, budget := range []float64{1, 1.5, 2, 4} {
 			want, err := legacyRecommendWith(m, budget, oracleRatio)
@@ -180,17 +188,14 @@ func TestRecommendMatchesOracleScanOnPaperDatasets(t *testing.T) {
 	}
 }
 
-// countingModel counts how often each integral hits the base model so
-// the Planner's memoization is observable.
+// countingModel counts how often each of the four integrals hits the
+// base model so the Planner's memoization is observable. F̃ is not
+// memoized, so it is not counted.
 type countingModel struct {
 	Model
 	calls int64
+	prod  int64 // IntProdOneMinusF calls alone
 	uprod int64 // IntUProdOneMinusF calls alone
-}
-
-func (c *countingModel) Ftilde(t float64) float64 {
-	atomic.AddInt64(&c.calls, 1)
-	return c.Model.Ftilde(t)
 }
 
 func (c *countingModel) IntOneMinusFPow(T float64, b int) float64 {
@@ -205,6 +210,7 @@ func (c *countingModel) IntUOneMinusFPow(T float64, b int) float64 {
 
 func (c *countingModel) IntProdOneMinusF(T, shift float64) float64 {
 	atomic.AddInt64(&c.calls, 1)
+	atomic.AddInt64(&c.prod, 1)
 	return c.Model.IntProdOneMinusF(T, shift)
 }
 
@@ -235,7 +241,7 @@ func TestRecommendUWeightedCrossTermOnlyInFinalEvaluations(t *testing.T) {
 }
 
 // TestPlannerMemoizesModelEvaluations requires a repeated query on one
-// Planner to be (nearly) free in terms of base-model work.
+// Planner to be (nearly) free in terms of base-model integral work.
 func TestPlannerMemoizesModelEvaluations(t *testing.T) {
 	cm := &countingModel{Model: refModel(t)}
 	p, err := NewPlanner(cm, WithMaxParallel(1.5))
@@ -260,6 +266,37 @@ func TestPlannerMemoizesModelEvaluations(t *testing.T) {
 	}
 	if extra := afterSecond - afterFirst; extra > afterFirst/100 {
 		t.Fatalf("second query cost %d base evaluations (first cost %d); memoization broken", extra, afterFirst)
+	}
+}
+
+// TestPlannersShareOneMemo: a Planner built over another Planner's
+// Model shares its memo instead of wrapping it again, so a second
+// Planner with other options makes no cross-term walk the first one
+// already made. The daemon's registry builds one Planner per
+// option-carrying request over a model's shared memo and relies on
+// this.
+func TestPlannersShareOneMemo(t *testing.T) {
+	cm := &countingModel{Model: refModel(t)}
+	p, err := NewPlanner(cm, WithMaxParallel(1.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewPlanner(p.Model(), WithMaxParallel(5), WithDeadline(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Model() != p.Model() {
+		t.Fatalf("second Planner re-wrapped the shared model: %T", q.Model())
+	}
+	before := atomic.LoadInt64(&cm.prod)
+	if _, err := q.Recommend(); err != nil {
+		t.Fatal(err)
+	}
+	if extra := atomic.LoadInt64(&cm.prod) - before; extra != 0 {
+		t.Fatalf("second Planner made %d base IntProdOneMinusF calls, want 0", extra)
 	}
 }
 
@@ -498,7 +535,7 @@ func TestPlannerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.CompareDeadline(m, 900, 3)
+	want, err := core.CompareDeadline(context.Background(), m, 900, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +584,11 @@ func TestPlannerMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := workload.EstimateMakespan(app, workload.MultipleStrategy(m, 4))
+	ws, err := workload.MultipleStrategy(m, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := workload.EstimateMakespan(app, ws)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,7 +106,7 @@ func (s Single) Optimize(m Model) (Strategy, Evaluation, error) {
 }
 
 func (s Single) optimizeCtx(ctx context.Context, m Model, workers int) (Strategy, Evaluation, error) {
-	tInf, ev, err := core.OptimizeSingleCtx(ctx, m, workers)
+	tInf, ev, err := core.OptimizeSingle(ctx, m, workers)
 	if err != nil {
 		return nil, Evaluation{}, err
 	}
@@ -125,7 +125,7 @@ func (s Single) simulateCtx(ctx context.Context, m Model, runs int, rng Rand, wo
 	if err := s.validate(); err != nil {
 		return SimResult{}, err
 	}
-	return core.SimulateSingleCtx(ctx, m, s.TInf, runs, rng, workers)
+	return core.SimulateSingle(ctx, m, s.TInf, runs, rng, workers)
 }
 
 // --- Multiple submission (paper §5) ---
@@ -185,7 +185,7 @@ func (s Multiple) Optimize(m Model) (Strategy, Evaluation, error) {
 }
 
 func (s Multiple) optimizeCtx(ctx context.Context, m Model, workers int) (Strategy, Evaluation, error) {
-	tInf, ev, err := core.OptimizeMultipleCtx(ctx, m, s.B, workers)
+	tInf, ev, err := core.OptimizeMultiple(ctx, m, s.B, workers)
 	if err != nil {
 		return nil, Evaluation{}, err
 	}
@@ -204,7 +204,7 @@ func (s Multiple) simulateCtx(ctx context.Context, m Model, runs int, rng Rand, 
 	if err := s.validate(); err != nil {
 		return SimResult{}, err
 	}
-	return core.SimulateMultipleCtx(ctx, m, s.B, s.TInf, runs, rng, workers)
+	return core.SimulateMultiple(ctx, m, s.B, s.TInf, runs, rng, workers)
 }
 
 // --- Delayed resubmission (paper §6) ---
@@ -253,7 +253,7 @@ func (s Delayed) Optimize(m Model) (Strategy, Evaluation, error) {
 }
 
 func (s Delayed) optimizeCtx(ctx context.Context, m Model, workers int) (Strategy, Evaluation, error) {
-	p, ev, err := core.OptimizeDelayedCtx(ctx, m, workers)
+	p, ev, err := core.OptimizeDelayed(ctx, m, workers)
 	if err != nil {
 		return nil, Evaluation{}, err
 	}
@@ -269,7 +269,7 @@ func (s Delayed) simulateCtx(ctx context.Context, m Model, runs int, rng Rand, w
 	if rng == nil {
 		return SimResult{}, errNilRand
 	}
-	return core.SimulateDelayedCtx(ctx, m, s.DelayedParams(), runs, rng, workers)
+	return core.SimulateDelayed(ctx, m, s.DelayedParams(), runs, rng, workers)
 }
 
 // Strategies returns one un-tuned strategy per family — the natural

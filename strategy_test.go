@@ -98,11 +98,6 @@ func TestStrategyInvalidParams(t *testing.T) {
 	if _, err := (Multiple{B: 0, TInf: 100}).Simulate(m, 10, rng); err == nil {
 		t.Fatal("simulating b=0 should fail")
 	}
-	// The legacy free function now also returns an error for a bad
-	// collection size instead of panicking.
-	if _, err := SimulateMultiple(m, 0, 500, 10, rng); err == nil {
-		t.Fatal("SimulateMultiple(b=0) should fail")
-	}
 	compareDeadline := func(deadline float64, b int) error {
 		p, err := NewPlanner(m, WithDeadline(deadline), WithCollectionSize(b))
 		if err == nil {
