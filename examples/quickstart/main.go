@@ -22,8 +22,9 @@ func main() {
 		st.Name, st.Probes, st.MeanBody, st.StdBody, st.Rho*100)
 
 	// 2. Build the latency model F̃R(t) = (1-ρ)·FR(t) and a Planner
-	// over it. The Planner memoizes model evaluations, so the ranking,
-	// recommendation and cost queries below share their work.
+	// over it. The Planner optimizes each candidate configuration once
+	// per model, so the ranking, recommendation and cost queries below
+	// share their work.
 	m, err := gridstrat.ModelFromTrace(tr)
 	if err != nil {
 		log.Fatal(err)

@@ -30,7 +30,8 @@
 // latency model plus planning constraints (parallel-copy budget,
 // deadline, Δcost ceiling, context, random source) and answers the
 // high-level questions — Recommend, Rank, CompareDeadline,
-// EstimateMakespan — memoizing model evaluations across queries.
+// EstimateMakespan — optimizing each model's candidate configurations
+// once and sharing them across queries and Planners.
 //
 // # Quick start
 //
@@ -123,8 +124,8 @@ func WriteTraceJSON(w io.Writer, t *Trace) error { return trace.WriteJSON(w, t) 
 type Model = core.Model
 
 // BatchIntegrals is the optional Model extension answering a whole
-// ascending grid of integral queries in one sweep; EmpiricalModel (and
-// the Planner's memoized model) implement it. A model implementing it
+// ascending grid of integral queries in one sweep; EmpiricalModel
+// implements it. A model implementing it
 // together with ProdBothIntegrals is scanned through its own kernels,
 // any other model through a pointwise adapter over its scalar methods.
 // Implementations must return exactly the scalar methods' values, so

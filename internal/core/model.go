@@ -147,7 +147,7 @@ func (p pointwise) IntProdBothOneMinusF(T, shift float64) (plain, uweighted floa
 // completed-probe latencies and every integral is evaluated on its
 // step function. The law is any stats.EmpiricalDistribution — the
 // exact counted ECDF or the mergeable quantile Sketch — so the model,
-// the Planner memoization above it, and every strategy formula are
+// the Planner above it, and every strategy formula are
 // representation-agnostic: swapping the backend (the serving layer's
 // exact ⇄ sketch tier moves) changes nothing at any call site. With
 // the ECDF backend every integral is exact; with the Sketch backend it

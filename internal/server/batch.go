@@ -14,9 +14,9 @@ import (
 // queries in one HTTP exchange. The batch is the wire-level
 // counterpart of the library's batched kernels — one request
 // amortizes connection, framing, admission and encoding costs over
-// every item, and items on the same model snapshot share its memoized
-// integral cache, so a batch of 64 touches each model's tables once
-// where 64 single requests would race to warm them separately.
+// every item, and items on the same model snapshot share its
+// candidate table, which is filled once per snapshot however many
+// items or requests ask.
 //
 // Semantics:
 //   - Items execute with bounded concurrency (the server worker cap)

@@ -1,6 +1,7 @@
 // Package server implements gridstratd, the long-running HTTP/JSON
 // planning service over the gridstrat library: a sharded model
-// registry mapping model IDs to memoized Planners, query endpoints for
+// registry mapping model IDs to model snapshots, each planned once and
+// shared by every request's Planner, query endpoints for
 // every Planner question (recommend, rank, optimize, simulate,
 // makespan), and a trace-ingestion endpoint that turns the paper's
 // weekly tuning loop (§7.2) into a continuous rolling-window rebuild.
@@ -65,9 +66,9 @@ func (t ModelTier) String() string {
 }
 
 // ModelState is one immutable snapshot of a registered model: the
-// rolling-window trace it was built from, the memoized latency model
-// shared by every Planner answering queries on it, and the summary
-// statistics of the window. Ingestion never mutates a ModelState; it
+// rolling-window trace it was built from, the latency model (carrying
+// its candidate table) shared by every Planner answering queries on
+// it, and the summary statistics of the window. Ingestion never mutates a ModelState; it
 // builds a successor and swaps the entry's pointer, so in-flight
 // queries keep computing on the snapshot they started with.
 type ModelState struct {
@@ -94,13 +95,14 @@ type ModelState struct {
 	sketch *stats.Sketch
 
 	// planner is the snapshot's shared default-options Planner — the
-	// same one assembleModelState builds to obtain the memo wrapper.
-	// Option-default queries reuse it instead of constructing a fresh
-	// Planner (and a fresh cost-context baseline) per request; requests
-	// carrying explicit options still get their own. It runs under a
-	// background context: the work it does is bounded and warms the
-	// snapshot-wide memo cache, so per-request cancellation is not
-	// worth a per-request Planner on the hot path.
+	// same one assembleModelState builds to obtain Model, the shared
+	// model with the snapshot's candidate table. Option-default
+	// queries reuse it instead of constructing a Planner per request;
+	// requests carrying explicit options get their own Planner over
+	// Model, which reads the same table. It runs under a background
+	// context: the entries it fills are bounded work that every later
+	// request on the snapshot reads, so per-request cancellation is
+	// not worth a per-request Planner on the hot path.
 	planner *gridstrat.Planner
 
 	// Default-recommendation cache: the answer to an option-free
@@ -211,11 +213,11 @@ func newModelStateSketch(tr *trace.Trace, sk *stats.Sketch, base *stats.ECDF, pr
 
 // assembleModelState wraps an empirical latency law — exact ECDF or
 // quantile sketch — into the queryable model stack. The returned
-// state's Model is the memoizing wrapper of a throwaway Planner, so
-// every per-request Planner constructed over it shares one integral
-// cache (NewPlanner detects an already-memoized model and does not
-// double-wrap; TestPlannersShareOneMemo pins this). The memo holds
-// the four integrals only; F̃ points go straight to the base model.
+// state's Model is the shared model of the snapshot's default
+// Planner, so every per-request Planner constructed over it reads one
+// candidate table and the snapshot is planned once (NewPlanner
+// detects that model and does not wrap it again;
+// TestPlannersShareOneMemo pins this).
 func assembleModelState(tr *trace.Trace, dist stats.EmpiricalDistribution, rho float64, st trace.Stats, version int64) (*ModelState, error) {
 	em, err := core.NewEmpiricalModelDist(dist, rho, tr.Timeout)
 	if err != nil {

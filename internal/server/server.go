@@ -279,7 +279,11 @@ func (s *Server) Handler() http.Handler {
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Preload registers the named paper datasets (or every one of them
-// for the single name "all") under their dataset names.
+// for the single name "all") under their dataset names and fills each
+// snapshot's whole candidate table before returning, so no request on
+// a preloaded model pays a table fill, whatever its options. Models
+// registered or rebuilt later fill their tables on demand, which
+// keeps that work off the ingest path.
 func (s *Server) Preload(names ...string) error {
 	if len(names) == 1 && names[0] == "all" {
 		names = nil
@@ -292,17 +296,22 @@ func (s *Server) Preload(names ...string) error {
 		if err != nil {
 			return err
 		}
-		if _, err := s.reg.Put(name, "dataset:"+name, s.cfg.DefaultWindow, tr); err != nil {
+		e, err := s.reg.Put(name, "dataset:"+name, s.cfg.DefaultWindow, tr)
+		if err != nil {
 			return fmt.Errorf("preloading %q: %w", name, err)
+		}
+		if err := e.State().planner.Prepare(); err != nil {
+			return fmt.Errorf("planning %q: %w", name, err)
 		}
 	}
 	return nil
 }
 
-// plannerFor builds the per-request Planner: the entry's memoized
-// model (so every request on one model snapshot shares one integral
-// cache), the request context (so a dropped connection cancels the
-// optimization mid-scan), and the request's constraint options. The
+// plannerFor builds the per-request Planner: the entry's shared model
+// (so every request on one model snapshot reads one candidate table
+// and only filters it), the request context (so a dropped connection
+// cancels a table fill mid-scan), and the request's constraint
+// options. The
 // server-wide worker cap is applied first so it also binds requests
 // that omit the workers option (whose Planner default, GOMAXPROCS,
 // may exceed the cap); an explicit clamped option overrides it.

@@ -8,7 +8,7 @@ import "math/rand"
 // batched), plus the warm-swap and memory-accounting hooks the serving
 // layer drives. Two backends implement it — the exact counted ECDF and
 // the mergeable quantile Sketch — so every layer above (core models,
-// Planner memoization, the gridstratd registry) is representation-
+// the Planner, the gridstratd registry) is representation-
 // agnostic: demoting a model from exact to sketch swaps the backend
 // without touching a single call site.
 //

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -159,12 +160,13 @@ func TestPlannerConcurrentUse(t *testing.T) {
 	}
 }
 
-// TestMemoCacheRejectsNaN pins the cache-boundary fix: NaN queries
-// bypass the memo maps (NaN != NaN could never hit and would grow them
-// unboundedly).
+// TestMemoCacheRejectsNaN: the shared model keeps no per-query
+// integral state, so NaN arguments (NaN != NaN, which once leaked dead
+// memo entries) and repeated arguments alike go straight to the
+// underlying model, once per query, with its answers unchanged.
 func TestMemoCacheRejectsNaN(t *testing.T) {
-	m := refModel(t)
-	p, err := NewPlanner(m)
+	cm := &countingModel{Model: refModel(t)}
+	p, err := NewPlanner(cm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,30 +174,26 @@ func TestMemoCacheRejectsNaN(t *testing.T) {
 	if !ok {
 		t.Fatalf("Planner model is %T, want *memoModel", p.Model())
 	}
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
 	nan := math.NaN()
 	for i := 0; i < 100; i++ {
-		mm.IntOneMinusFPow(nan, 2)
-		mm.IntUOneMinusFPow(nan, 2)
-		mm.IntProdOneMinusF(nan, 100)
-		mm.IntProdOneMinusF(100, nan)
-		mm.IntUProdOneMinusF(nan, nan)
+		if !same(mm.IntOneMinusFPow(nan, 2), cm.Model.IntOneMinusFPow(nan, 2)) ||
+			!same(mm.IntUOneMinusFPow(nan, 2), cm.Model.IntUOneMinusFPow(nan, 2)) ||
+			!same(mm.IntProdOneMinusF(nan, 100), cm.Model.IntProdOneMinusF(nan, 100)) ||
+			!same(mm.IntProdOneMinusF(100, nan), cm.Model.IntProdOneMinusF(100, nan)) ||
+			!same(mm.IntUProdOneMinusF(nan, nan), cm.Model.IntUProdOneMinusF(nan, nan)) {
+			t.Fatal("shared model answered a NaN query differently from the underlying model")
+		}
 	}
-	mm.mu.Lock()
-	total := len(mm.pow) + len(mm.upow) + len(mm.prod) + len(mm.uprod)
-	mm.mu.Unlock()
-	if total != 0 {
-		t.Fatalf("NaN queries grew the memo cache to %d entries", total)
+	if n := atomic.LoadInt64(&cm.calls); n != 500 {
+		t.Fatalf("500 NaN queries reached the underlying model %d times", n)
 	}
-	// Sanity: non-NaN queries still populate and hit the cache.
 	v1 := mm.IntProdOneMinusF(500, 100)
 	v2 := mm.IntProdOneMinusF(500, 100)
-	if v1 != v2 {
-		t.Fatalf("cache returned different values %v vs %v", v1, v2)
+	if v1 != v2 || v1 != cm.Model.IntProdOneMinusF(500, 100) {
+		t.Fatalf("repeated query answered %v then %v", v1, v2)
 	}
-	mm.mu.Lock()
-	n := len(mm.prod)
-	mm.mu.Unlock()
-	if n != 1 {
-		t.Fatalf("expected exactly one cached IntProdOneMinusF entry, got %d", n)
+	if n := atomic.LoadInt64(&cm.prod); n != 202 {
+		t.Fatalf("IntProdOneMinusF reached the underlying model %d times, want 202", n)
 	}
 }

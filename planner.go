@@ -2,6 +2,7 @@ package gridstrat
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -24,27 +25,28 @@ var (
 // Planner is the high-level facade over the strategy models: it owns a
 // latency model, a parallel-copy budget, an optional deadline and cost
 // ceiling, a context for cancelling long optimizations, a random
-// source for Monte Carlo, and an execution parallelism degree. The
-// model's four integrals (not its F̃ points, which are cheaper to
-// recompute) are memoized behind the Planner, so repeated queries
-// (Recommend, then Rank, then CompareDeadline on the same model) are
-// cheap.
+// source for Monte Carlo, and an execution parallelism degree.
+//
+// Everything the advisor compares depends on the model alone: the
+// single-resubmission optimum (the Δcost reference), the multiple
+// optimum per collection size and the ten delayed ratio optima. They
+// live in a candidate table shared by every Planner over one model
+// (see NewPlanner and Model) and are each optimized once, on first
+// use; the options (WithMaxParallel, WithBudget, a class policy) only
+// choose among them. Repeated queries (Recommend, then Rank, then
+// RecommendForClass on the same model) are therefore cheap.
 //
 // A Planner is safe for concurrent use, including Simulate: the
 // configured random source is only ever consumed under the Planner's
 // lock to derive per-call master seeds, and everything downstream runs
 // on derived, call-local RNG streams.
 type Planner struct {
-	model Model // memoized wrapper around the user's model
+	model Model      // the model every computation runs on
+	memo  *memoModel // model plus its candidate table, shared (see Model)
 	cfg   plannerConfig
 
-	mu sync.Mutex
-	cc *core.CostContext // lazily established cost baseline
-
-	// rngMu guards only the master-seed draws of Simulate. It is
-	// separate from mu so a Simulate call never blocks behind the
-	// (potentially seconds-long) first-query cost-baseline
-	// optimization that costContext runs under mu.
+	// rngMu guards the master-seed draws of Simulate and the lazy
+	// default random source.
 	rngMu sync.Mutex
 }
 
@@ -169,10 +171,11 @@ func WithCollectionSize(b int) PlannerOption {
 }
 
 // NewPlanner builds a Planner over the latency model. The model's
-// integral evaluations (not its F̃ points) are memoized for the
-// Planner's lifetime, so build one Planner per model and reuse it
-// across queries. A model returned by another Planner's Model is not
-// wrapped again: both Planners share one memo.
+// candidate table lives as long as the model the Planner hands out
+// from Model, so build one Planner per model and reuse it, or build
+// per-request Planners over that Model: a model returned by another
+// Planner's Model is not wrapped again, so all of them share one
+// table.
 func NewPlanner(m Model, opts ...PlannerOption) (*Planner, error) {
 	if m == nil {
 		return nil, fmt.Errorf("gridstrat: nil model")
@@ -180,7 +183,6 @@ func NewPlanner(m Model, opts ...PlannerOption) (*Planner, error) {
 	cfg := plannerConfig{
 		maxParallel: 2,
 		ctx:         context.Background(),
-		rng:         rand.New(rand.NewSource(1)),
 		b:           2,
 		parallelism: runtime.GOMAXPROCS(0),
 	}
@@ -189,44 +191,94 @@ func NewPlanner(m Model, opts ...PlannerOption) (*Planner, error) {
 			return nil, err
 		}
 	}
-	return &Planner{model: newMemoModel(m), cfg: cfg}, nil
+	memo, ok := m.(*memoModel)
+	if !ok {
+		memo = &memoModel{Model: m}
+	}
+	return &Planner{model: memo.Model, memo: memo, cfg: cfg}, nil
 }
 
-// Model returns the Planner's memoized model. It satisfies Model and
-// can be passed to any free function in this package or to NewPlanner;
-// integral evaluations made through it share the Planner's cache.
-func (p *Planner) Model() Model { return p.model }
+// Model returns the Planner's shared model: the model it was built
+// over, carrying its candidate table. Planners built over it share
+// that table. It answers every Model method as the underlying model
+// does, but not the optional batch kernels, so free functions scan it
+// point by point; give them the underlying model instead.
+func (p *Planner) Model() Model { return p.memo }
 
-// costContext establishes (once) the single-resubmission cost
-// baseline every Δcost figure is anchored on.
-func (p *Planner) costContext() (*core.CostContext, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cc != nil {
-		return p.cc, nil
+// baseline is the model's single-resubmission optimum: the Δcost
+// reference and the single candidate every advisor query starts from.
+type baseline struct {
+	cc  *core.CostContext
+	rec Recommendation
+}
+
+// baseline establishes (once per model) the cost baseline every Δcost
+// figure is anchored on.
+func (p *Planner) baseline() (baseline, error) {
+	return p.memo.baseline.get(p.cfg.ctx, func() (baseline, error) {
+		cc, err := core.NewCostContext(p.cfg.ctx, p.model, p.cfg.parallelism)
+		if err != nil {
+			return baseline{}, err
+		}
+		return baseline{cc: cc, rec: Recommendation{
+			Strategy: StrategySingle,
+			TInf:     cc.RefTimeout,
+			Eval:     Evaluation{EJ: cc.RefEJ, Sigma: core.SigmaSingle(p.model, cc.RefTimeout), Parallel: 1},
+			Delta:    1,
+		}}, nil
+	})
+}
+
+// multiple returns the multiple-submission optimum for collection
+// size b, optimized once per model for the sizes the table holds and
+// per call beyond them.
+func (p *Planner) multiple(b int) (Multiple, Evaluation, error) {
+	optimize := func() (Multiple, Evaluation, error) {
+		tInf, ev, err := core.OptimizeMultiple(p.cfg.ctx, p.model, b, p.cfg.parallelism)
+		return Multiple{B: b, TInf: tInf}, ev, err
 	}
-	cc, err := core.NewCostContext(p.cfg.ctx, p.model, p.cfg.parallelism)
-	if err != nil {
-		return nil, err
+	if b < 1 || b >= len(p.memo.multiple) {
+		return optimize()
 	}
-	p.cc = cc
-	return cc, nil
+	opt, err := p.memo.multiple[b].get(p.cfg.ctx, func() (optimum[Multiple], error) {
+		s, ev, err := optimize()
+		return optimum[Multiple]{s, ev}, err
+	})
+	return opt.s, opt.ev, err
+}
+
+// delayedRatios returns the delayed optimum of every ratio of
+// delayedRatioGrid, optimized once per model.
+func (p *Planner) delayedRatios() ([]DelayedParams, []Evaluation, error) {
+	opt, err := p.memo.ratios.get(p.cfg.ctx, func() (ratioOptima, error) {
+		dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+		return ratioOptima{dps, evs}, err
+	})
+	return opt.dps, opt.evs, err
+}
+
+// Prepare fills every candidate-table entry Recommend and
+// RecommendForClass read: the cost baseline, the multiple optimum at
+// every collection size up to the class planner's cap and the delayed
+// ratio optima. Afterwards no such query over the model optimizes
+// anything, whatever its options; without Prepare the first query at
+// each collection size pays that size's optimization.
+func (p *Planner) Prepare() error {
+	if _, err := p.baseline(); err != nil {
+		return err
+	}
+	for b := 2; b <= classMaxB; b++ {
+		if _, _, err := p.multiple(b); err != nil {
+			return err
+		}
+	}
+	_, _, err := p.delayedRatios()
+	return err
 }
 
 // delayedRatioGrid is the t∞/t0 grid Recommend sweeps for
 // budget-compatible delayed configurations (§6.2 of the paper).
 var delayedRatioGrid = []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}
-
-// singleBaseline is the single-resubmission entry every advisor query
-// starts from: the Δcost reference itself.
-func (p *Planner) singleBaseline(cc *core.CostContext) Recommendation {
-	return Recommendation{
-		Strategy: StrategySingle,
-		TInf:     cc.RefTimeout,
-		Eval:     Evaluation{EJ: cc.RefEJ, Sigma: core.SigmaSingle(p.model, cc.RefTimeout), Parallel: 1},
-		Delta:    1,
-	}
-}
 
 // affordableB converts the parallel-copy budget to the largest
 // affordable collection size without overflowing the int conversion
@@ -247,31 +299,32 @@ func affordableB(maxParallel float64) int {
 // compete; larger budgets unlock multiple submission with b up to
 // ⌊budget⌋.
 func (p *Planner) Recommend() (Recommendation, error) {
-	cc, err := p.costContext()
+	base, err := p.baseline()
 	if err != nil {
 		return Recommendation{}, err
 	}
+	cc := base.cc
 	inBudget := func(delta float64) bool { return p.cfg.budget <= 0 || delta <= p.cfg.budget }
 
 	best := Recommendation{Eval: Evaluation{EJ: math.Inf(1)}}
 	if inBudget(1) {
-		best = p.singleBaseline(cc)
+		best = base.rec
 	}
 
 	// Multiple submission with the largest affordable collection.
 	if b := affordableB(p.cfg.maxParallel); b >= 2 {
-		tInf, ev, err := core.OptimizeMultiple(p.cfg.ctx, p.model, b, p.cfg.parallelism)
+		s, ev, err := p.multiple(b)
 		if err != nil {
 			return Recommendation{}, err
 		}
 		delta := cc.Delta(ev.EJ, float64(b))
 		if inBudget(delta) && ev.EJ < best.Eval.EJ {
-			best = Recommendation{Strategy: StrategyMultiple, TInf: tInf, B: b, Eval: ev, Delta: delta}
+			best = Recommendation{Strategy: StrategyMultiple, TInf: s.TInf, B: b, Eval: ev, Delta: delta}
 		}
 	}
 
 	// Delayed: sweep ratios, keep budget-compatible configurations.
-	dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	dps, evs, err := p.delayedRatios()
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -292,7 +345,8 @@ func (p *Planner) Recommend() (Recommendation, error) {
 
 // classMaxB caps the collection sizes RecommendForClass enumerates —
 // beyond this, extra copies buy vanishing deadline probability while
-// the cost grows linearly.
+// the cost grows linearly. It also sizes the candidate table's
+// per-b multiple optima.
 const classMaxB = 8
 
 // RecommendForClass plans one SLO class: among the configurations
@@ -308,26 +362,27 @@ func (p *Planner) RecommendForClass(pol ClassPolicy) (ClassRecommendation, error
 	if err := pol.Validate(); err != nil {
 		return ClassRecommendation{}, fmt.Errorf("gridstrat: %w", err)
 	}
-	cc, err := p.costContext()
+	base, err := p.baseline()
 	if err != nil {
 		return ClassRecommendation{}, err
 	}
+	cc := base.cc
 	inBudget := func(delta float64) bool { return pol.Budget <= 0 || delta <= pol.Budget }
 
-	candidates := []Recommendation{p.singleBaseline(cc)}
+	candidates := []Recommendation{base.rec}
 	maxB := affordableB(pol.MaxParallel)
 	if maxB > classMaxB {
 		maxB = classMaxB
 	}
 	for b := 2; b <= maxB; b++ {
-		tInf, ev, err := core.OptimizeMultiple(p.cfg.ctx, p.model, b, p.cfg.parallelism)
+		s, ev, err := p.multiple(b)
 		if err != nil {
 			return ClassRecommendation{}, err
 		}
 		candidates = append(candidates, Recommendation{
-			Strategy: StrategyMultiple, TInf: tInf, B: b, Eval: ev, Delta: cc.Delta(ev.EJ, float64(b))})
+			Strategy: StrategyMultiple, TInf: s.TInf, B: b, Eval: ev, Delta: cc.Delta(ev.EJ, float64(b))})
 	}
-	dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
+	dps, evs, err := p.delayedRatios()
 	if err != nil {
 		return ClassRecommendation{}, err
 	}
@@ -400,12 +455,14 @@ func (p *Planner) PlanClasses(demands []ClassDemand, capacity float64, maxB int)
 // strategy with Δcost < 1 when the latency law rewards it, otherwise
 // plain single resubmission.
 func (p *Planner) RecommendCheapest() (Recommendation, error) {
-	cc, err := p.costContext()
+	base, err := p.baseline()
 	if err != nil {
 		return Recommendation{}, err
 	}
-	best := p.singleBaseline(cc)
-	res, err := cc.OptimizeDelayedCost(p.cfg.ctx, p.cfg.parallelism)
+	best := base.rec
+	res, err := p.memo.cheapest.get(p.cfg.ctx, func() (core.CostResult, error) {
+		return base.cc.OptimizeDelayedCost(p.cfg.ctx, p.cfg.parallelism)
+	})
 	if err != nil {
 		return Recommendation{}, err
 	}
@@ -419,7 +476,7 @@ func (p *Planner) RecommendCheapest() (Recommendation, error) {
 // evaluation together with its Δcost relative to the Planner's single
 // optimum — the paper's Eq. 6 for arbitrary configurations.
 func (p *Planner) Cost(s Strategy) (Evaluation, float64, error) {
-	cc, err := p.costContext()
+	base, err := p.baseline()
 	if err != nil {
 		return Evaluation{}, 0, err
 	}
@@ -427,7 +484,7 @@ func (p *Planner) Cost(s Strategy) (Evaluation, float64, error) {
 	if err != nil {
 		return Evaluation{}, 0, err
 	}
-	return ev, cc.Delta(ev.EJ, ev.Parallel), nil
+	return ev, base.cc.Delta(ev.EJ, ev.Parallel), nil
 }
 
 // CompareDeadline evaluates the deadline-hit probability P(J <=
@@ -442,8 +499,33 @@ func (p *Planner) CompareDeadline() (DeadlineReport, error) {
 }
 
 // Optimize tunes a strategy's free parameters on the Planner's model
-// under the Planner's context and parallelism.
+// under the Planner's context and parallelism. The paper strategies'
+// optima come from the model's candidate table, so each is optimized
+// once per model.
 func (p *Planner) Optimize(s Strategy) (Strategy, Evaluation, error) {
+	switch s := s.(type) {
+	case Single:
+		// A model with no cost reference still has a single optimum;
+		// the direct optimization below reports it.
+		if base, err := p.baseline(); err == nil {
+			return Single{TInf: base.rec.TInf}, base.rec.Eval, nil
+		}
+	case Multiple:
+		tuned, ev, err := p.multiple(s.B)
+		if err != nil {
+			return nil, Evaluation{}, err
+		}
+		return tuned, ev, nil
+	case Delayed:
+		opt, err := p.memo.delayed.get(p.cfg.ctx, func() (optimum[Delayed], error) {
+			dp, ev, err := core.OptimizeDelayed(p.cfg.ctx, p.model, p.cfg.parallelism)
+			return optimum[Delayed]{Delayed{T0: dp.T0, TInf: dp.TInf}, ev}, err
+		})
+		if err != nil {
+			return nil, Evaluation{}, err
+		}
+		return opt.s, opt.ev, nil
+	}
 	cs, ok := s.(ctxStrategy)
 	if !ok {
 		return s.Optimize(p.model)
@@ -460,6 +542,11 @@ func (p *Planner) Optimize(s Strategy) (Strategy, Evaluation, error) {
 // setting.
 func (p *Planner) Simulate(s Strategy, runs int) (SimResult, error) {
 	p.rngMu.Lock()
+	if p.cfg.rng == nil {
+		// The default source is built on first use: seeding it costs
+		// more than a whole Recommend over a filled candidate table.
+		p.cfg.rng = rand.New(rand.NewSource(1))
+	}
 	seed := p.cfg.rng.Uint64()
 	p.rngMu.Unlock()
 	// Full-64-bit derivation: rand.NewSource would truncate the seed
@@ -510,7 +597,7 @@ func (p *Planner) Rank(strategies ...Strategy) ([]RankedStrategy, error) {
 	if len(strategies) == 0 {
 		strategies = Strategies(p.cfg.b)
 	}
-	cc, err := p.costContext()
+	base, err := p.baseline()
 	if err != nil {
 		return nil, err
 	}
@@ -520,7 +607,7 @@ func (p *Planner) Rank(strategies ...Strategy) ([]RankedStrategy, error) {
 		if err != nil {
 			return nil, err
 		}
-		delta := cc.Delta(ev.EJ, ev.Parallel)
+		delta := base.cc.Delta(ev.EJ, ev.Parallel)
 		if p.cfg.budget > 0 && delta > p.cfg.budget {
 			continue
 		}
@@ -609,134 +696,99 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 	return 0, MakespanEstimate{}, nil
 }
 
-// --- Memoized model ---
+// --- Candidate table ---
 
-// memoCache wraps a Model and caches its four integrals. The strategy
-// optimizers hammer the same integrals at the same grid points across
-// queries (Recommend's ratio sweep, CompareDeadline's three
-// optimizations, Rank), so one Planner-level cache makes repeated
-// queries on one model cheap. F̃, ρ, the upper bound and Sample are the
-// embedded base model's own: an ECDF's F̃ is one binary search, cheaper
-// than a lookup in a mutex-guarded map, and a cold Recommend would
-// insert tens of thousands of F̃ keys that only a repeated query on the
-// same Planner could hit.
+// memoModel is the model Planner.Model hands out: the underlying model
+// plus its candidate table, the configurations the advisor compares.
+// Each entry is optimized on first use under the asking Planner's
+// context and parallelism (answers do not depend on the parallelism)
+// and then kept for every Planner over the model. Options never reach
+// the table; Recommend and RecommendForClass only filter it.
 //
-// NaN arguments bypass the cache entirely: NaN != NaN, so a NaN key
-// could never be hit again and every NaN query would leak one dead map
-// entry. With NaN excluded, total memory is bounded by the four maps ×
-// memoLimit entries each (each map is reset wholesale when full).
-//
-// A memoCache has no batch kernels, so the optimizers scan it point by
-// point and every grid point is a cached scalar lookup; a base model
-// with its own kernels is wrapped in a memoModel instead.
-type memoCache struct {
-	Model // the base model
-
-	mu    sync.Mutex
-	pow   map[powKey]float64
-	upow  map[powKey]float64
-	prod  map[prodKey]float64
-	uprod map[prodKey]float64
-}
-
-// memoModel is the memo cache over a base model that brings its own
-// batch kernels: the swept grid scans call the base's kernels
-// directly (identical to the scalar values, so bypassing the memo
-// maps is safe) and everything else goes through the cache.
+// The model's integrals are not memoized: with every entry computed
+// once, the optimizers ask for the same integral again in about one
+// lookup in a hundred, and an ECDF answers each from its own tables.
 type memoModel struct {
-	*memoCache
-	core.BatchIntegrals
+	Model // the underlying model
+
+	baseline flight[baseline]
+	multiple [classMaxB + 1]flight[optimum[Multiple]] // by collection size; 0 unused
+	ratios   flight[ratioOptima]                      // delayedRatioGrid optima
+	delayed  flight[optimum[Delayed]]                 // the 2-D delayed optimum
+	cheapest flight[core.CostResult]                  // the Δcost minimum
 }
 
-type powKey struct {
-	t float64
-	b int
+// optimum is one tuned strategy with its evaluation.
+type optimum[S Strategy] struct {
+	s  S
+	ev Evaluation
 }
 
-type prodKey struct {
-	t, shift float64
+// ratioOptima holds the delayed optima of delayedRatioGrid, in order.
+type ratioOptima struct {
+	dps []DelayedParams
+	evs []Evaluation
 }
 
-// memoLimit bounds each cache map; when one fills up it is reset
-// rather than evicted entry-by-entry (optimizer grids are reused
-// wholesale, so partial eviction buys nothing).
-const memoLimit = 1 << 18
-
-// newMemoModel wraps m in the Planner's memo cache (see memoCache).
-func newMemoModel(m Model) Model {
-	switch m.(type) {
-	case *memoModel, *memoCache:
-		// Avoid double-wrapping when a Planner is built over another
-		// Planner's model.
-		return m
-	}
-	c := &memoCache{
-		Model: m,
-		pow:   make(map[powKey]float64),
-		upow:  make(map[powKey]float64),
-		prod:  make(map[prodKey]float64),
-		uprod: make(map[prodKey]float64),
-	}
-	if bi, ok := m.(core.BatchIntegrals); ok {
-		return &memoModel{memoCache: c, BatchIntegrals: bi}
-	}
-	return c
+// flight is one table entry, filled single-flighted: the first caller
+// computes it while later callers wait for that result. A fill that
+// fails with a context error (or panics) is not kept, so the next
+// caller computes again under its own context; any other result,
+// errors included, is kept.
+type flight[T any] struct {
+	mu   sync.Mutex
+	fill *fill[T] // nil until a fill starts, and again after a dropped one
 }
 
-func (m *memoCache) IntOneMinusFPow(T float64, b int) float64 {
-	if math.IsNaN(T) {
-		return m.Model.IntOneMinusFPow(T, b)
-	}
-	return cached(&m.mu, &m.pow, powKey{t: T, b: b}, func() float64 { return m.Model.IntOneMinusFPow(T, b) })
+type fill[T any] struct {
+	done    chan struct{} // closed when val, err and dropped are final
+	val     T
+	err     error
+	dropped bool
 }
 
-func (m *memoCache) IntUOneMinusFPow(T float64, b int) float64 {
-	if math.IsNaN(T) {
-		return m.Model.IntUOneMinusFPow(T, b)
+// get returns the entry, computing it with compute if no kept fill
+// exists. A caller waiting for another's fill gives up with ctx's
+// error once ctx is done.
+func (f *flight[T]) get(ctx context.Context, compute func() (T, error)) (T, error) {
+	for {
+		f.mu.Lock()
+		c := f.fill
+		if c == nil {
+			c = &fill[T]{done: make(chan struct{}), dropped: true}
+			f.fill = c
+			f.mu.Unlock()
+			f.run(c, compute)
+			return c.val, c.err
+		}
+		f.mu.Unlock()
+		select {
+		case <-c.done:
+		case <-ctx.Done():
+			select {
+			case <-c.done: // finished too: the result wins
+			default:
+				var zero T
+				return zero, ctx.Err()
+			}
+		}
+		if !c.dropped {
+			return c.val, c.err
+		}
 	}
-	return cached(&m.mu, &m.upow, powKey{t: T, b: b}, func() float64 { return m.Model.IntUOneMinusFPow(T, b) })
 }
 
-// IntProdBothOneMinusF implements core.ProdBothIntegrals through the
-// memoized scalar cross terms. Only a final delayed evaluation (EJ and
-// σJ) asks for both; the scans ask for the plain term alone.
-func (m *memoCache) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
-	return m.IntProdOneMinusF(T, shift), m.IntUProdOneMinusF(T, shift)
-}
-
-func (m *memoCache) IntProdOneMinusF(T, shift float64) float64 {
-	if math.IsNaN(T) || math.IsNaN(shift) {
-		return m.Model.IntProdOneMinusF(T, shift)
-	}
-	return cached(&m.mu, &m.prod, prodKey{t: T, shift: shift}, func() float64 { return m.Model.IntProdOneMinusF(T, shift) })
-}
-
-func (m *memoCache) IntUProdOneMinusF(T, shift float64) float64 {
-	if math.IsNaN(T) || math.IsNaN(shift) {
-		return m.Model.IntUProdOneMinusF(T, shift)
-	}
-	return cached(&m.mu, &m.uprod, prodKey{t: T, shift: shift}, func() float64 { return m.Model.IntUProdOneMinusF(T, shift) })
-}
-
-// cached is the memoModel lookup-or-compute step: the value is
-// computed outside the lock (duplicate concurrent computes are benign
-// — the integrals are pure), and a full cache hitting memoLimit is
-// reset wholesale. Callers must keep NaN out of k (see memoModel);
-// this is the cache boundary the parallel grid scans hammer
-// concurrently, so it must stay correct under -race.
-func cached[K comparable](mu *sync.Mutex, slot *map[K]float64, k K, compute func() float64) float64 {
-	mu.Lock()
-	if v, ok := (*slot)[k]; ok {
-		mu.Unlock()
-		return v
-	}
-	mu.Unlock()
-	v := compute()
-	mu.Lock()
-	if len(*slot) >= memoLimit {
-		*slot = make(map[K]float64)
-	}
-	(*slot)[k] = v
-	mu.Unlock()
-	return v
+// run computes fill c and publishes it; a dropped fill is unlinked
+// before its waiters wake, so they start a new one.
+func (f *flight[T]) run(c *fill[T], compute func() (T, error)) {
+	defer func() {
+		if c.dropped {
+			f.mu.Lock()
+			f.fill = nil
+			f.mu.Unlock()
+		}
+		close(c.done)
+	}()
+	c.val, c.err = compute()
+	c.dropped = errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)
 }

@@ -270,11 +270,12 @@ func TestPlannerMemoizesModelEvaluations(t *testing.T) {
 }
 
 // TestPlannersShareOneMemo: a Planner built over another Planner's
-// Model shares its memo instead of wrapping it again, so a second
-// Planner with other options makes no cross-term walk the first one
-// already made. The daemon's registry builds one Planner per
-// option-carrying request over a model's shared memo and relies on
-// this.
+// Model shares its candidate table instead of wrapping the model
+// again, so once a max_parallel level has been planned, a further
+// Planner's Recommend at that level, whatever its other options, makes
+// no base integral call at all. The daemon's registry builds one
+// Planner per option-carrying request over a model's shared table and
+// relies on this.
 func TestPlannersShareOneMemo(t *testing.T) {
 	cm := &countingModel{Model: refModel(t)}
 	p, err := NewPlanner(cm, WithMaxParallel(1.5))
@@ -284,19 +285,31 @@ func TestPlannersShareOneMemo(t *testing.T) {
 	if _, err := p.Recommend(); err != nil {
 		t.Fatal(err)
 	}
-	q, err := NewPlanner(p.Model(), WithMaxParallel(5), WithDeadline(3000))
-	if err != nil {
-		t.Fatal(err)
+	levels := []float64{1, 1.5, 2, 2.5, 3, 4, 5}
+	for _, mp := range levels {
+		q, err := NewPlanner(p.Model(), WithMaxParallel(mp))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Model() != p.Model() {
+			t.Fatalf("second Planner re-wrapped the shared model: %T", q.Model())
+		}
+		if _, err := q.Recommend(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if q.Model() != p.Model() {
-		t.Fatalf("second Planner re-wrapped the shared model: %T", q.Model())
+	before := atomic.LoadInt64(&cm.calls)
+	for _, mp := range levels {
+		q, err := NewPlanner(p.Model(), WithMaxParallel(mp), WithDeadline(3000), WithBudget(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := q.Recommend(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	before := atomic.LoadInt64(&cm.prod)
-	if _, err := q.Recommend(); err != nil {
-		t.Fatal(err)
-	}
-	if extra := atomic.LoadInt64(&cm.prod) - before; extra != 0 {
-		t.Fatalf("second Planner made %d base IntProdOneMinusF calls, want 0", extra)
+	if extra := atomic.LoadInt64(&cm.calls) - before; extra != 0 {
+		t.Fatalf("warm Planners made %d base integral calls, want 0", extra)
 	}
 }
 
@@ -347,14 +360,14 @@ type scalarOnlyModel struct{ Model }
 
 // TestPlannerContextCancellationScalarOnly is the mid-flight deadline
 // check for a model without batch kernels: its scans run as pointwise
-// chunked sweeps, and a 5ms deadline must still abort a Recommend that
+// chunked sweeps, and a 2ms deadline must still abort a Recommend that
 // runs far longer uncancelled, at sequential and parallel execution.
 func TestPlannerContextCancellationScalarOnly(t *testing.T) {
 	m := scalarOnlyModel{refModel(t)}
 	if _, ok := Model(m).(BatchIntegrals); ok {
 		t.Fatal("scalarOnlyModel must hide the batch extension")
 	}
-	const deadline = 5 * time.Millisecond
+	const deadline = 2 * time.Millisecond
 	full, err := NewPlanner(m, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
@@ -378,7 +391,7 @@ func TestPlannerContextCancellationScalarOnly(t *testing.T) {
 		elapsed := time.Since(start)
 		cancel()
 		if err == nil {
-			t.Fatalf("parallelism %d: Recommend survived a 5ms deadline", par)
+			t.Fatalf("parallelism %d: Recommend survived a %v deadline", par, deadline)
 		}
 		if elapsed > 2*time.Second {
 			t.Fatalf("parallelism %d: cancellation took %v", par, elapsed)

@@ -52,7 +52,7 @@ func DefaultClassPolicies(deadline float64) []ClassPolicy { return workload.Defa
 // SmallestMeetingDeadlineByClass allocates collection sizes to
 // per-class demands in priority order under a shared parallel-copy
 // capacity — the class-aware SmallestMeetingDeadline. Prefer
-// Planner.PlanClasses, which shares the Planner's memoized model.
+// Planner.PlanClasses, the same allocation on the Planner's model.
 func SmallestMeetingDeadlineByClass(m Model, demands []ClassDemand, capacity float64, maxB int) ([]ClassAllocation, float64, error) {
 	return workload.SmallestMeetingDeadlineContended(m, demands, capacity, maxB)
 }
