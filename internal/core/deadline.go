@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 )
@@ -58,57 +57,43 @@ type DeadlineEntry struct {
 	P95         float64 // 95th percentile of J
 }
 
-// CompareDeadline evaluates P(J <= deadline) for the optimized single
-// strategy, b-fold multiple submission, and the EJ-optimal delayed
-// strategy. It is the "soft real-time" view of the paper's evaluation:
-// users often care about tail quantiles, not expectations. Invalid
-// deadlines and collection sizes are returned as errors, a done ctx
-// aborts the three per-strategy optimizations with its error, and
-// their scans fan across up to `workers` goroutines (<= 0 means all
-// cores; results are identical for every count).
-func CompareDeadline(ctx context.Context, m Model, deadline float64, b int, workers int) (DeadlineReport, error) {
+// NewDeadlineReport evaluates P(J <= deadline) and the 95th percentile
+// of J for three tuned strategies: single resubmission at timeout tS,
+// b-fold multiple submission at timeout tM, and delayed resubmission
+// at p, which keeps parDelayed copies in flight on average. It is the
+// "soft real-time" view of the paper's evaluation: users often care
+// about tail quantiles, not expectations. The optima are the caller's
+// (the Planner reads them from its candidate table); invalid deadlines
+// and collection sizes are returned as errors.
+func NewDeadlineReport(m Model, deadline, tS float64, b int, tM float64, p DelayedParams, parDelayed float64) (DeadlineReport, error) {
 	if deadline <= 0 {
 		return DeadlineReport{}, fmt.Errorf("core: non-positive deadline %v", deadline)
 	}
 	if err := ValidateB(b); err != nil {
 		return DeadlineReport{}, err
 	}
-	rep := DeadlineReport{Deadline: deadline}
-
-	tS, _, err := OptimizeSingle(ctx, m, workers)
-	if err != nil {
-		return DeadlineReport{}, err
-	}
 	cdfS := SingleCDF(m, tS)
-	rep.Single = DeadlineEntry{
-		Label:       fmt.Sprintf("single(t∞=%.0fs)", tS),
-		Probability: cdfS(deadline),
-		Parallel:    1,
-		P95:         QuantileJ(cdfS, 0.95, tS),
-	}
-
-	tM, _, err := OptimizeMultiple(ctx, m, b, workers)
-	if err != nil {
-		return DeadlineReport{}, err
-	}
 	cdfM := MultipleCDF(m, b, tM)
-	rep.Multiple = DeadlineEntry{
-		Label:       fmt.Sprintf("multiple(b=%d, t∞=%.0fs)", b, tM),
-		Probability: cdfM(deadline),
-		Parallel:    float64(b),
-		P95:         QuantileJ(cdfM, 0.95, tM),
-	}
-
-	p, ev, err := OptimizeDelayed(ctx, m, workers)
-	if err != nil {
-		return DeadlineReport{}, err
-	}
 	cdfD := DelayedCDF(m, p)
-	rep.Delayed = DeadlineEntry{
-		Label:       fmt.Sprintf("delayed(t0=%.0fs, t∞=%.0fs)", p.T0, p.TInf),
-		Probability: cdfD(deadline),
-		Parallel:    ev.Parallel,
-		P95:         QuantileJ(cdfD, 0.95, p.T0),
-	}
-	return rep, nil
+	return DeadlineReport{
+		Deadline: deadline,
+		Single: DeadlineEntry{
+			Label:       fmt.Sprintf("single(t∞=%.0fs)", tS),
+			Probability: cdfS(deadline),
+			Parallel:    1,
+			P95:         QuantileJ(cdfS, 0.95, tS),
+		},
+		Multiple: DeadlineEntry{
+			Label:       fmt.Sprintf("multiple(b=%d, t∞=%.0fs)", b, tM),
+			Probability: cdfM(deadline),
+			Parallel:    float64(b),
+			P95:         QuantileJ(cdfM, 0.95, tM),
+		},
+		Delayed: DeadlineEntry{
+			Label:       fmt.Sprintf("delayed(t0=%.0fs, t∞=%.0fs)", p.T0, p.TInf),
+			Probability: cdfD(deadline),
+			Parallel:    parDelayed,
+			P95:         QuantileJ(cdfD, 0.95, p.T0),
+		},
+	}, nil
 }

@@ -119,8 +119,8 @@ func delayedCellQ(k kernels, t0, ratio float64) (float64, bool) {
 
 // ejDelayedAt is EJDelayed at (t0, t∞ = ratio·t0) through the scalar
 // integrals and the plain cross term alone: the allocation-free
-// objective of the per-ratio Brent polish. Values are identical to
-// ejDelayedRatioBatch's.
+// objective of the per-ratio Brent polish and of round 1's exact
+// confirmation. Values are identical to EJDelayed's.
 func ejDelayedAt(k kernels, ratio, t0 float64) float64 {
 	q, ok := delayedCellQ(k, t0, ratio)
 	if !ok {
@@ -130,29 +130,57 @@ func ejDelayedAt(k kernels, ratio, t0 float64) float64 {
 	return ejDelayedFrom(k.IntOneMinusFPow(t0, 1), k.IntOneMinusFPow(w, 1), k.IntProdOneMinusF(w, t0), q)
 }
 
-// ejDelayedRatioBatch evaluates EJDelayed along an ascending t0 grid
-// with t∞ = ratio·t0 fixed (one per-ratio refinement round), writing
-// out[i] at t0 = qs[i]. qs holds the grid in its first len(out)
-// entries and is filled with the w = t∞ - t0 grid in the rest, so one
-// batch call answers both pow integrals. The shift of the cross term
-// varies per point, so each cross term is its own windowed walk over
-// [0, w] — already proportional to the window, not the support — and
-// only its plain half, since EJ does not need the u-weighted one.
-// Values are identical to per-point EJDelayed calls.
-func ejDelayedRatioBatch(k kernels, ratio float64, qs, out []float64) {
+// ratioConfirmTol is round 1's confirmation margin, relative to each
+// point's error scale (see ejDelayedRatioRound). It must be at least
+// the kernel's stats.ProdRatioGridTol for the confirmation to be exact;
+// it is 1000 times that.
+const ratioConfirmTol = 1e-9
+
+// ejDelayedRatioRound evaluates EJDelayed along one ratio's refinement
+// grid t0 = lo + i·h (t∞ = ratio·t0), writing out[i]: exactly — the
+// scalar EJDelayed value bit for bit — at every point that can be the
+// grid's minimum, and +Inf at every other point.
+//
+// One batch call answers both pow integrals of every point, and
+// prodRatioGrid the cross terms. Walked cross terms make every value
+// exact. The one-pass kernel's are within ProdRatioGridTol·(C + w) of
+// the walks', so a point's EJ lies within σ_i = ratioConfirmTol·
+// (C_i + w_i)/(1 - q_i) of its fast value; every point whose interval
+// reaches below the lowest upper end min_j(EJ_j + σ_j) is re-evaluated
+// by ejDelayedAt. Every exact minimizer is among them, and every other
+// point's exact EJ is above the confirmed minimum, so a scan of out
+// picks the point a scan of all-exact values would.
+func ejDelayedRatioRound(k kernels, ratio, lo, h float64, out []float64) {
 	n := len(out)
-	t0s, ws := qs[:n], qs[n:]
-	for i, t0 := range t0s {
-		ws[i] = ratio*t0 - t0
+	buf := make([]float64, 3*n)
+	qs, cs := buf[:2*n], buf[2*n:] // qs: t0 grid, then w grid
+	slack := cs                    // σ_i replaces C_i once EJ_i is known
+	for i := 0; i < n; i++ {
+		t0 := lo + float64(i)*h
+		qs[i], qs[n+i] = t0, ratio*t0-t0
 	}
 	ints := k.IntOneMinusFPowBatch(qs, 1)
-	for i, t0 := range t0s {
-		q, ok := delayedCellQ(k, t0, ratio)
+	exact := prodRatioGrid(k, ratio, lo, h, cs)
+	top := math.Inf(1)
+	for i := range out {
+		q, ok := delayedCellQ(k, qs[i], ratio)
 		if !ok {
-			out[i] = math.Inf(1)
+			out[i], slack[i] = math.Inf(1), 0
 			continue
 		}
-		out[i] = ejDelayedFrom(ints[i], ints[n+i], k.IntProdOneMinusF(ws[i], t0), q)
+		out[i] = ejDelayedFrom(ints[i], ints[n+i], cs[i], q)
+		slack[i] = ratioConfirmTol * (cs[i] + qs[n+i]) / (1 - q)
+		top = math.Min(top, out[i]+slack[i])
+	}
+	if exact {
+		return
+	}
+	for i, v := range out {
+		if v-slack[i] <= top {
+			out[i] = ejDelayedAt(k, ratio, qs[i])
+		} else {
+			out[i] = math.Inf(1)
+		}
 	}
 }
 
@@ -168,8 +196,7 @@ func ejDelayedRatioBatch(k kernels, ratio float64, qs, out []float64) {
 // per cell — and so does a row whose w values float rounding left
 // non-monotone. Rows fan across up to `workers` goroutines in
 // contiguous chunks; rows reached after ctx is done read +Inf. Values
-// are identical to per-cell EJDelayed calls, and column j to
-// ejDelayedRatioBatch's values for ratios[j].
+// are identical to per-cell EJDelayed calls.
 func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, workers int) []float64 {
 	n, nr := len(t0s), len(ratios)
 	buf := make([]float64, (2*nr+1)*n)
@@ -535,7 +562,12 @@ const (
 //     same for every ratio, so each t0 answers all ratios from one
 //     merged cross-term walk.
 //   - Round 1, per ratio: 401 points in [x-h, x+h] around the round-0
-//     incumbent x (h its grid step), ties going to the smaller t0.
+//     incumbent x (h its grid step), ties going to the smaller t0. A
+//     model with the one-pass ratio-grid kernel (RatioGridIntegrals)
+//     answers the 401 cross terms in one pass, and every point that
+//     can win is then re-evaluated exactly (ejDelayedRatioRound); any
+//     other model walks each point. Either way the round picks the
+//     point an all-walk round picks.
 //   - A Brent polish (tolerance 1e-10) inside [x-h₁, x+h₁] around the
 //     round-1 incumbent, kept only where it lowers EJ.
 //
@@ -545,7 +577,8 @@ const (
 // round 1, polish and final DelayedEvaluate, fan across up to
 // `workers` goroutines (<= 0 means all cores); every value is
 // pointwise and the ratios are independent, so results are identical
-// for every count and equal per-ratio calls. An out-of-range ratio is
+// for every count, equal per-ratio calls, and do not depend on whether
+// the model has the ratio-grid kernel. An out-of-range ratio is
 // an error, and a done ctx aborts with the context's error.
 func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, workers int) ([]DelayedParams, []Evaluation, error) {
 	for _, r := range ratios {
@@ -577,15 +610,11 @@ func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, worke
 		scan(a, h0, vals[j*len(t0s):(j+1)*len(t0s)])
 		if lo, hi := math.Max(a, x-h0), math.Min(b, x+h0); lo < hi {
 			h1 := (hi - lo) / ratioScanN
-			buf := make([]float64, 3*(ratioScanN+1)) // t0 grid, w grid, EJ
-			qs, out := buf[:2*(ratioScanN+1)], buf[2*(ratioScanN+1):]
-			for i := range out {
-				qs[i] = lo + float64(i)*h1
-			}
 			if ctx.Err() != nil {
 				return
 			}
-			ejDelayedRatioBatch(k, ratio, qs, out)
+			out := make([]float64, ratioScanN+1)
+			ejDelayedRatioRound(k, ratio, lo, h1, out)
 			scan(lo, h1, out)
 			if lo, hi := math.Max(a, x-h1), math.Min(b, x+h1); lo < hi && !math.IsInf(f, 1) {
 				r := optimize.Brent(func(t0 float64) float64 {

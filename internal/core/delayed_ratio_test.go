@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"math/rand"
 	"testing"
 
 	"gridstrat/internal/optimize"
+	"gridstrat/internal/stats"
 	"gridstrat/internal/trace"
 )
 
@@ -30,6 +32,29 @@ func optimizeDelayedRatioOracle(m Model, ratio float64) (DelayedParams, Evaluati
 		return p, Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
 	}
 	return p, ev
+}
+
+// ejDelayedRatioBatch is the all-walk refinement round: EJDelayed
+// along an ascending t0 grid with t∞ = ratio·t0 fixed, writing out[i]
+// at t0 = qs[i]. qs holds the grid in its first len(out) entries and is
+// filled with the w = t∞ - t0 grid in the rest, so one batch call
+// answers both pow integrals; each cross term is its own scalar walk.
+// Values are identical to per-point EJDelayed calls.
+func ejDelayedRatioBatch(k kernels, ratio float64, qs, out []float64) {
+	n := len(out)
+	t0s, ws := qs[:n], qs[n:]
+	for i, t0 := range t0s {
+		ws[i] = ratio*t0 - t0
+	}
+	ints := k.IntOneMinusFPowBatch(qs, 1)
+	for i, t0 := range t0s {
+		q, ok := delayedCellQ(k, t0, ratio)
+		if !ok {
+			out[i] = math.Inf(1)
+			continue
+		}
+		out[i] = ejDelayedFrom(ints[i], ints[n+i], k.IntProdOneMinusF(ws[i], t0), q)
+	}
 }
 
 // paperModels returns the empirical models of the paper datasets: all
@@ -179,4 +204,191 @@ func TestOptimizeDelayedRatiosErrors(t *testing.T) {
 			t.Fatalf("ratio %v: want an error", bad)
 		}
 	}
+}
+
+// optimizeDelayedRatiosAllWalk is OptimizeDelayedRatios with round 1
+// answered by ejDelayedRatioBatch, one scalar cross-term walk per
+// point: the search as it ran before the one-pass ratio-grid kernel,
+// and the oracle the kernel path must reproduce bit for bit.
+func optimizeDelayedRatiosAllWalk(m Model, ratios []float64) ([]DelayedParams, []Evaluation) {
+	ub := m.UpperBound()
+	k := kernelsOf(m)
+	a, b := ub*1e-3, ub/2
+	h0 := (b - a) / ratioScanN
+	t0s := make([]float64, ratioScanN+1)
+	for i := range t0s {
+		t0s[i] = a + float64(i)*h0
+	}
+	vals := ejDelayedRatioGrid(context.Background(), k, ratios, t0s, 1)
+	ps := make([]DelayedParams, len(ratios))
+	evs := make([]Evaluation, len(ratios))
+	for j, ratio := range ratios {
+		x, f := a, math.Inf(1)
+		scan := func(lo, h float64, vs []float64) {
+			for i, v := range vs {
+				if xi := lo + float64(i)*h; v < f || (v == f && xi < x) {
+					x, f = xi, v
+				}
+			}
+		}
+		scan(a, h0, vals[j*len(t0s):(j+1)*len(t0s)])
+		if lo, hi := math.Max(a, x-h0), math.Min(b, x+h0); lo < hi {
+			h1 := (hi - lo) / ratioScanN
+			qs := make([]float64, 2*(ratioScanN+1))
+			out := make([]float64, ratioScanN+1)
+			for i := range out {
+				qs[i] = lo + float64(i)*h1
+			}
+			ejDelayedRatioBatch(k, ratio, qs, out)
+			scan(lo, h1, out)
+			if lo, hi := math.Max(a, x-h1), math.Min(b, x+h1); lo < hi && !math.IsInf(f, 1) {
+				r := optimize.Brent(func(t0 float64) float64 { return ejDelayedAt(k, ratio, t0) }, lo, hi, ratioPolishTol)
+				if r.F < f {
+					x, f = r.X, r.F
+				}
+			}
+		}
+		ps[j] = DelayedParams{T0: x, TInf: ratio * x}
+		ev, err := DelayedEvaluate(m, ps[j])
+		if err != nil {
+			ev = Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
+		}
+		evs[j] = ev
+	}
+	return ps, evs
+}
+
+// churnWindowModel is an ingest-shaped model: a 2000-record window of
+// 2006-IX latencies resampled with 5% log-normal jitter and rounded to
+// the millisecond, three outliers in 64, as a rolling service window
+// holds after turnover.
+func churnWindowModel(t *testing.T) *EmpiricalModel {
+	t.Helper()
+	spec, err := trace.LookupDataset("2006-IX")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := trace.Synthesize(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := tr.Latencies()
+	rng := rand.New(rand.NewSource(21))
+	lat := make([]float64, 2000-2000*3/64)
+	for i := range lat {
+		v := base[rng.Intn(len(base))] * math.Exp(0.05*rng.NormFloat64())
+		lat[i] = math.Min(math.Round(v*1000)/1000, tr.Timeout)
+	}
+	m, err := NewEmpiricalModel(stats.MustECDF(lat), 3.0/64, tr.Timeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// ratioGridModels are the models the ratio-grid tests run on: the
+// paper datasets, an ingest-shaped window, a sketch-backed model and a
+// model without kernels.
+func ratioGridModels(t *testing.T) map[string]Model {
+	t.Helper()
+	models := map[string]Model{
+		"churnWindow": churnWindowModel(t),
+		"scalarOnly":  scalarOnly{parityModel(t, 42, 0.1)},
+	}
+	pm := paperModels(t)
+	for name, m := range pm {
+		models[name] = m
+	}
+	first := pm[trace.PaperDatasets[0].Name]
+	sk, err := stats.SketchFromECDF(first.ECDF(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sm, err := NewEmpiricalModelDist(sk, first.Rho(), first.UpperBound())
+	if err != nil {
+		t.Fatal(err)
+	}
+	models["sketch"] = sm
+	return models
+}
+
+// TestOptimizeDelayedRatiosMatchesAllWalk pins the tentpole claim of
+// the one-pass round 1: with the kernel's cross terms and the exact
+// confirmation, OptimizeDelayedRatios returns the parameters and
+// evaluations of the all-walk search bit for bit.
+func TestOptimizeDelayedRatiosMatchesAllWalk(t *testing.T) {
+	for name, m := range ratioGridModels(t) {
+		ps, evs, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wps, wevs := optimizeDelayedRatiosAllWalk(m, oracleRatios)
+		for j, ratio := range oracleRatios {
+			if ps[j] != wps[j] || evs[j] != wevs[j] {
+				t.Errorf("%s ratio %v: (%+v, %+v), all-walk (%+v, %+v)", name, ratio, ps[j], evs[j], wps[j], wevs[j])
+			}
+		}
+	}
+}
+
+// TestRatioGridKernelAccuracy holds the one-pass cross terms to the
+// kernel's stated bound on every round-1 grid of the search (all ten
+// ratios around each ratio's round-0 incumbent) and checks that the
+// confirmation margin is at least 1000 times that bound, so the exact
+// re-evaluation cannot miss a minimizer. It also counts the points
+// each round re-evaluates.
+func TestRatioGridKernelAccuracy(t *testing.T) {
+	if ratioConfirmTol < 1000*stats.ProdRatioGridTol {
+		t.Fatalf("confirmation margin %g is under 1000× the kernel bound %g", ratioConfirmTol, stats.ProdRatioGridTol)
+	}
+	worst, points, confirmed, rounds := 0.0, 0, 0, 0
+	for name, m := range ratioGridModels(t) {
+		k := kernelsOf(m)
+		if _, ok := k.(RatioGridIntegrals); !ok {
+			continue
+		}
+		ub := m.UpperBound()
+		a, b := ub*1e-3, ub/2
+		h0 := (b - a) / ratioScanN
+		t0s := make([]float64, ratioScanN+1)
+		for i := range t0s {
+			t0s[i] = a + float64(i)*h0
+		}
+		vals := ejDelayedRatioGrid(context.Background(), k, oracleRatios, t0s, 1)
+		for j, ratio := range oracleRatios {
+			x, f := a, math.Inf(1)
+			for i, v := range vals[j*len(t0s) : (j+1)*len(t0s)] {
+				if v < f {
+					x, f = t0s[i], v
+				}
+			}
+			lo, hi := math.Max(a, x-h0), math.Min(b, x+h0)
+			h1 := (hi - lo) / ratioScanN
+			fast := make([]float64, ratioScanN+1)
+			if prodRatioGrid(k, ratio, lo, h1, fast) {
+				t.Fatalf("%s: the kernel path reported walked values", name)
+			}
+			for i, c := range fast {
+				t0 := lo + float64(i)*h1
+				w := ratio*t0 - t0
+				walk := k.IntProdOneMinusF(w, t0)
+				err := math.Abs(c-walk) / (walk + (ratio-1)*t0)
+				if !(err <= stats.ProdRatioGridTol) {
+					t.Fatalf("%s ratio %v t0 %v: kernel %v, walk %v (scaled error %.3g)", name, ratio, t0, c, walk, err)
+				}
+				worst = math.Max(worst, err)
+				points++
+			}
+			out := make([]float64, ratioScanN+1)
+			ejDelayedRatioRound(k, ratio, lo, h1, out)
+			for _, v := range out {
+				if !math.IsInf(v, 1) {
+					confirmed++
+				}
+			}
+			rounds++
+		}
+	}
+	t.Logf("%d points: worst scaled error %.3g (bound %g); %d rounds re-evaluated %d points",
+		points, worst, stats.ProdRatioGridTol, rounds, confirmed)
 }

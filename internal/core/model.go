@@ -95,6 +95,34 @@ type ProdBothIntegrals interface {
 	IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64)
 }
 
+// RatioGridIntegrals is an optional Model extension: the plain delayed
+// cross term along a uniform t0 grid at a fixed ratio, in one pass
+// instead of one walk per point. IntProdRatioGrid fills out[i] with
+// IntProdOneMinusF(ratio·t0 - t0, t0) at t0 = lo + i·h, to within
+// stats.ProdRatioGridTol·(value + (ratio-1)·t0); it need not be exact,
+// because the delayed ratio search re-evaluates exactly every point
+// that can win (see prodRatioGrid).
+type RatioGridIntegrals interface {
+	IntProdRatioGrid(ratio, lo, h float64, out []float64)
+}
+
+// prodRatioGrid fills out with the plain cross terms of the t0 grid
+// lo + i·h at t∞ = ratio·t0: through the model's one-pass kernel when
+// it has one, otherwise one scalar walk per point. It reports whether
+// the values are the walks', bit for bit; the kernel's are within
+// stats.ProdRatioGridTol of them.
+func prodRatioGrid(k kernels, ratio, lo, h float64, out []float64) (exact bool) {
+	if g, ok := k.(RatioGridIntegrals); ok {
+		g.IntProdRatioGrid(ratio, lo, h, out)
+		return false
+	}
+	for i := range out {
+		t0 := lo + float64(i)*h
+		out[i] = k.IntProdOneMinusF(ratio*t0-t0, t0)
+	}
+	return true
+}
+
 // kernels is the integral surface every optimizer evaluates through: a
 // Model with both optional extensions.
 type kernels interface {
@@ -256,6 +284,12 @@ func (m *EmpiricalModel) IntProdBothBatch(Ts []float64, shift float64) (plain, u
 // from one walk.
 func (m *EmpiricalModel) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
 	return m.dist.IntegralProdBoth(T, shift, 1-m.rho)
+}
+
+// IntProdRatioGrid implements RatioGridIntegrals over the law's
+// one-pass ratio-grid kernel.
+func (m *EmpiricalModel) IntProdRatioGrid(ratio, lo, h float64, out []float64) {
+	m.dist.IntegralProdRatioGrid(ratio, lo, h, 1-m.rho, out)
 }
 
 func (m *EmpiricalModel) Sample(rng *rand.Rand) float64 {

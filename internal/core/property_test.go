@@ -184,7 +184,20 @@ func TestPropertyCDFQuantileConsistency(t *testing.T) {
 
 func TestCompareDeadline(t *testing.T) {
 	m := testEmpirical(t)
-	rep, err := CompareDeadline(context.Background(), m, 600, 4, 1)
+	ctx := context.Background()
+	tS, _, err := OptimizeSingle(ctx, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tM, _, err := OptimizeMultiple(ctx, m, 4, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, ev, err := OptimizeDelayed(ctx, m, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := NewDeadlineReport(m, 600, tS, 4, tM, p, ev.Parallel)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,16 +222,15 @@ func TestCompareDeadline(t *testing.T) {
 			t.Fatalf("%s: P95 %v", e.Label, e.P95)
 		}
 	}
-	if _, err := CompareDeadline(context.Background(), m, -5, 2, 1); err == nil {
+	if _, err := NewDeadlineReport(m, -5, tS, 2, tM, p, ev.Parallel); err == nil {
 		t.Fatal("negative deadline should fail")
+	}
+	if _, err := NewDeadlineReport(m, 600, tS, 0, tM, p, ev.Parallel); err == nil {
+		t.Fatal("collection size 0 should fail")
 	}
 
 	// Cross-check one quantile against Monte Carlo.
 	rng := rand.New(rand.NewSource(91))
-	tS, _, err := OptimizeSingle(context.Background(), m, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim, err := SimulateSingle(context.Background(), m, tS, 60000, rng, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -130,15 +130,10 @@ func (e *ECDF) Max() float64 { return e.xs[len(e.xs)-1] }
 
 // Eval returns F(x) = P(X <= x), a right-continuous step function.
 func (e *ECDF) Eval(x float64) float64 {
-	// Index of first support point > x.
-	i := sort.SearchFloat64s(e.xs, x)
-	if i < len(e.xs) && e.xs[i] == x {
-		return e.cum[i]
+	if i := e.rankLE(x); i > 0 {
+		return e.cum[i-1]
 	}
-	if i == 0 {
-		return 0
-	}
-	return e.cum[i-1]
+	return 0
 }
 
 // Quantile returns the generalized inverse: the smallest support point
@@ -251,7 +246,13 @@ type powKernelKey struct {
 // same left-to-right addition order as the reference walkers, so a
 // table-backed query reproduces the walker's floating-point result for
 // b = 1 exactly and within a few ulps otherwise.
+//
+// seg is the tail of sv, whose leading entry is the integrand before
+// the first jump: sv[k] is the integrand once k support points are
+// passed. For b = 1 that is the survival table 1 - s·F the cross-term
+// walks read.
 type powKernel struct {
+	sv   []float64 // 1, then (1 - s·cum[i])^b; seg = sv[1:]
 	seg  []float64 // (1 - s·cum[i])^b on [xs[i], xs[i+1])
 	pre  []float64 // ∫₀^{xs[i]} (1 - s·F(u))^b du
 	preU []float64 // ∫₀^{xs[i]} u·(1 - s·F(u))^b du
@@ -292,13 +293,11 @@ func (e *ECDF) powKernelFor(s float64, b int) *powKernel {
 	}
 	m := len(e.xs)
 	k = &powKernel{
-		seg:  make([]float64, m),
+		sv:   survivalTable(e.cum, s, b),
 		pre:  make([]float64, m),
 		preU: make([]float64, m),
 	}
-	for i := 0; i < m; i++ {
-		k.seg[i] = PowInt(1-s*e.cum[i], b)
-	}
+	k.seg = k.sv[1:]
 	// Integrand is 1 before the first jump ((1 - s·0)^b).
 	k.pre[0] = e.xs[0]
 	k.preU[0] = 0.5 * e.xs[0] * e.xs[0]
@@ -311,6 +310,27 @@ func (e *ECDF) powKernelFor(s float64, b int) *powKernel {
 	}
 	e.kernels[key] = k
 	return k
+}
+
+// survivalTable returns sv with sv[0] = 1 and sv[i+1] =
+// (1 - s·cum[i])^b: the integrand (1 - s·F)^b once i+1 support points
+// are passed.
+func survivalTable(cum []float64, s float64, b int) []float64 {
+	sv := make([]float64, len(cum)+1)
+	sv[0] = 1
+	for i, c := range cum {
+		sv[i+1] = PowInt(1-s*c, b)
+	}
+	return sv
+}
+
+// survival returns the b = 1 survival table of scale s (see powKernel):
+// the kernel's when it can be built, otherwise a fresh one.
+func (e *ECDF) survival(s float64) []float64 {
+	if k := e.powKernelFor(s, 1); k != nil {
+		return k.sv
+	}
+	return survivalTable(e.cum, s, 1)
 }
 
 // integral answers ∫₀ᵀ (1-s·F)^b given the table: the prefix through
@@ -585,7 +605,7 @@ func (e *ECDF) IntegralProdBothBatch(Ts []float64, shift, s float64) (plain, uwe
 // ascending slice Ts. Checkpoint emission adds the partial final
 // segment without mutating the running totals, so each emitted value
 // reproduces exactly the floating-point sum a scalar walk stopping at
-// that T would produce.
+// that T would produce. The walk is integralProd's (see there).
 func (e *ECDF) prodBothSweep(Ts []float64, shift, s float64, out0, out1 []float64) {
 	t := 0
 	for t < len(Ts) && (Ts[t] <= 0 || s < 0) {
@@ -596,30 +616,20 @@ func (e *ECDF) prodBothSweep(Ts []float64, shift, s float64, out0, out1 []float6
 		return
 	}
 	Tmax := Ts[len(Ts)-1]
-	// Cursor i: next jump of F(u) at u = xs[i]; cursor j: next jump of
-	// F(u+shift) at u = xs[j]-shift. F values carried are those on the
-	// current segment [u, nextBreak).
-	i := sort.SearchFloat64s(e.xs, 0)
-	if i < len(e.xs) && e.xs[i] == 0 {
-		i++ // jump at exactly 0 is already included in Eval(0)
-	}
-	j := sort.SearchFloat64s(e.xs, shift)
-	if j < len(e.xs) && e.xs[j] == shift {
-		j++
-	}
-	f2 := e.Eval(0)
-	f1 := e.Eval(shift)
+	sv := e.survival(s)
+	i, j := e.rankLE(0), e.rankLE(shift)
+	xi, xj := e.breakAt(i, 0), e.breakAt(j, shift)
 	u := 0.0
 	tot0, tot1 := 0.0, 0.0
 	for u < Tmax {
 		next := Tmax
-		if i < len(e.xs) && e.xs[i] < next {
-			next = e.xs[i]
+		if xi < next {
+			next = xi
 		}
-		if j < len(e.xs) && e.xs[j]-shift < next {
-			next = e.xs[j] - shift
+		if xj < next {
+			next = xj
 		}
-		c := (1 - s*f2) * (1 - s*f1)
+		c := sv[i] * sv[j]
 		for t < len(Ts) && Ts[t] <= next {
 			out0[t] = tot0 + c*(Ts[t]-u)
 			out1[t] = tot1 + c*0.5*(Ts[t]*Ts[t]-u*u)
@@ -630,13 +640,13 @@ func (e *ECDF) prodBothSweep(Ts []float64, shift, s float64, out0, out1 []float6
 		if next >= Tmax {
 			break
 		}
-		for i < len(e.xs) && e.xs[i] <= next {
-			f2 = e.cum[i]
+		if xi <= next {
 			i++
+			xi = e.breakAt(i, 0)
 		}
-		for j < len(e.xs) && e.xs[j]-shift <= next {
-			f1 = e.cum[j]
+		if xj <= next {
 			j++
+			xj = e.breakAt(j, shift)
 		}
 		u = next
 	}
@@ -649,32 +659,31 @@ func (e *ECDF) prodBothSweep(Ts []float64, shift, s float64, out0, out1 []float6
 
 // integralProd walks the merged jump points of F(u) and F(u+shift)
 // over [0, T) with two cursors — allocation-free and exact, since both
-// factors are constant between consecutive jumps.
+// factors are constant between consecutive jumps. Cursor i counts the
+// support points at or below u, cursor j those at or below u+shift, so
+// the integrand on the current segment is sv[i]·sv[j] from the b = 1
+// survival table, and each cursor's next break is read from
+// breakAt, whose end sentinel is +Inf. Each segment advances each
+// cursor at most once: where rounding makes two shifted breaks equal,
+// the second one closes an empty segment, which adds an exact zero.
 func (e *ECDF) integralProd(T, shift, s float64, withU bool) float64 {
 	if T <= 0 || s < 0 {
 		return 0
 	}
-	i := sort.SearchFloat64s(e.xs, 0)
-	if i < len(e.xs) && e.xs[i] == 0 {
-		i++ // jump at exactly 0 is already included in Eval(0)
-	}
-	j := sort.SearchFloat64s(e.xs, shift)
-	if j < len(e.xs) && e.xs[j] == shift {
-		j++
-	}
-	f2 := e.Eval(0)
-	f1 := e.Eval(shift)
+	sv := e.survival(s)
+	i, j := e.rankLE(0), e.rankLE(shift)
+	xi, xj := e.breakAt(i, 0), e.breakAt(j, shift)
 	u := 0.0
 	total := 0.0
 	for u < T {
 		next := T
-		if i < len(e.xs) && e.xs[i] < next {
-			next = e.xs[i]
+		if xi < next {
+			next = xi
 		}
-		if j < len(e.xs) && e.xs[j]-shift < next {
-			next = e.xs[j] - shift
+		if xj < next {
+			next = xj
 		}
-		c := (1 - s*f2) * (1 - s*f1)
+		c := sv[i] * sv[j]
 		if withU {
 			total += c * 0.5 * (next*next - u*u)
 		} else {
@@ -683,17 +692,35 @@ func (e *ECDF) integralProd(T, shift, s float64, withU bool) float64 {
 		if next >= T {
 			break
 		}
-		for i < len(e.xs) && e.xs[i] <= next {
-			f2 = e.cum[i]
+		if xi <= next {
 			i++
+			xi = e.breakAt(i, 0)
 		}
-		for j < len(e.xs) && e.xs[j]-shift <= next {
-			f1 = e.cum[j]
+		if xj <= next {
 			j++
+			xj = e.breakAt(j, shift)
 		}
 		u = next
 	}
 	return total
+}
+
+// rankLE returns the number of support points <= x.
+func (e *ECDF) rankLE(x float64) int {
+	i := sort.SearchFloat64s(e.xs, x)
+	if i < len(e.xs) && e.xs[i] == x {
+		i++
+	}
+	return i
+}
+
+// breakAt returns xs[k] - shift, the k-th jump of F(u+shift) in u, and
+// the end sentinel +Inf past the last support point.
+func (e *ECDF) breakAt(k int, shift float64) float64 {
+	if k < len(e.xs) {
+		return e.xs[k] - shift
+	}
+	return math.Inf(1)
 }
 
 // PartialExpectation computes ∫₀ᵀ u dF(u) = (1/n)·Σ_{x_i <= T} x_i,
@@ -720,11 +747,7 @@ func (e *ECDF) PartialExpectation(T float64) float64 {
 // samples, no re-sort, and no rounding drift for weights that are not
 // exact multiples of 1/n (e.g. the output of a previous Restrict).
 func (e *ECDF) Restrict(T float64) (*ECDF, error) {
-	// First support index beyond T: keep xs[:hi].
-	hi := sort.SearchFloat64s(e.xs, T)
-	if hi < len(e.xs) && e.xs[hi] == T {
-		hi++
-	}
+	hi := e.rankLE(T) // keep xs[:hi]
 	if hi == 0 {
 		return nil, ErrEmpty
 	}

@@ -97,6 +97,32 @@ func BenchmarkKernelBatchGridWalk(b *testing.B) {
 	}
 }
 
+// BenchmarkKernelProdRatioGrid answers the plain cross terms of one
+// delayed ratio's 401-point refinement grid (t in [240, 360], t∞ =
+// 1.5·t) in one pass per iteration.
+func BenchmarkKernelProdRatioGrid(b *testing.B) {
+	e := benchECDF(2000)
+	out := make([]float64, 401)
+	e.IntegralProdRatioGrid(1.5, 240, 0.3, 0.9, out) // build the table outside the loop
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.IntegralProdRatioGrid(1.5, 240, 0.3, 0.9, out)
+		benchSink = out[len(out)-1]
+	}
+}
+
+// BenchmarkKernelProdRatioGridWalk answers the same grid with one
+// cross-term walk per point.
+func BenchmarkKernelProdRatioGridWalk(b *testing.B) {
+	e := benchECDF(2000)
+	for i := 0; i < b.N; i++ {
+		for k := 0; k <= 400; k++ {
+			t := 240 + float64(k)*0.3
+			benchSink = e.IntegralProdOneMinusF(1.5*t-t, t, 0.9)
+		}
+	}
+}
+
 // --- The sampler: O(1) table vs the historical binary-search path ---
 
 func BenchmarkECDFRand(b *testing.B) {

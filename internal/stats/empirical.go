@@ -51,6 +51,9 @@ type EmpiricalDistribution interface {
 	IntegralUProdOneMinusF(T, shift, s float64) float64
 	IntegralProdBoth(T, shift, s float64) (plain, uweighted float64)
 	IntegralProdBothBatch(Ts []float64, shift, s float64) (plain, uweighted []float64)
+	// IntegralProdRatioGrid answers the plain cross term along a
+	// uniform t grid at T = (ratio-1)·t, shift = t, in one pass.
+	IntegralProdRatioGrid(ratio, lo, h, s float64, out []float64)
 
 	// MemBytes estimates the resident heap footprint: support arrays,
 	// built prefix-sum tables, sampler table — the registry's byte

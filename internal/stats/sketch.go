@@ -433,6 +433,12 @@ func (s *Sketch) IntegralProdBothBatch(Ts []float64, shift, sc float64) (plain, 
 	return s.View().IntegralProdBothBatch(Ts, shift, sc)
 }
 
+// IntegralProdRatioGrid answers the plain cross term along a ratio's
+// t grid in one pass.
+func (s *Sketch) IntegralProdRatioGrid(ratio, lo, h, sc float64, out []float64) {
+	s.View().IntegralProdRatioGrid(ratio, lo, h, sc, out)
+}
+
 // MemBytes estimates the resident heap footprint: the compactor stack
 // plus the compiled view (with whatever tables it has built) once one
 // exists.

@@ -229,6 +229,24 @@ func (p *Planner) baseline() (baseline, error) {
 	})
 }
 
+// single returns the single-resubmission optimum: the cost baseline's,
+// or, for a model with no cost reference, a direct optimization.
+func (p *Planner) single() (float64, Evaluation, error) {
+	if base, err := p.baseline(); err == nil {
+		return base.rec.TInf, base.rec.Eval, nil
+	}
+	return core.OptimizeSingle(p.cfg.ctx, p.model, p.cfg.parallelism)
+}
+
+// delayed returns the 2-D delayed optimum, optimized once per model.
+func (p *Planner) delayed() (Delayed, Evaluation, error) {
+	opt, err := p.memo.delayed.get(p.cfg.ctx, func() (optimum[Delayed], error) {
+		dp, ev, err := core.OptimizeDelayed(p.cfg.ctx, p.model, p.cfg.parallelism)
+		return optimum[Delayed]{Delayed{T0: dp.T0, TInf: dp.TInf}, ev}, err
+	})
+	return opt.s, opt.ev, err
+}
+
 // multiple returns the multiple-submission optimum for collection
 // size b, optimized once per model for the sizes the table holds and
 // per call beyond them.
@@ -489,13 +507,29 @@ func (p *Planner) Cost(s Strategy) (Evaluation, float64, error) {
 
 // CompareDeadline evaluates the deadline-hit probability P(J <=
 // deadline) and the 95th-percentile latency of the optimized single,
-// multiple (WithCollectionSize copies) and delayed strategies at the
-// Planner's WithDeadline deadline.
+// multiple (WithCollectionSize copies) and 2-D delayed strategies at
+// the Planner's WithDeadline deadline. The three optima come from the
+// model's candidate table, so each is optimized once per model.
 func (p *Planner) CompareDeadline() (DeadlineReport, error) {
 	if p.cfg.deadline <= 0 {
 		return DeadlineReport{}, fmt.Errorf("gridstrat: no deadline configured (use WithDeadline)")
 	}
-	return core.CompareDeadline(p.cfg.ctx, p.model, p.cfg.deadline, p.cfg.b, p.cfg.parallelism)
+	if err := core.ValidateB(p.cfg.b); err != nil {
+		return DeadlineReport{}, err
+	}
+	tS, _, err := p.single()
+	if err != nil {
+		return DeadlineReport{}, err
+	}
+	m, _, err := p.multiple(p.cfg.b)
+	if err != nil {
+		return DeadlineReport{}, err
+	}
+	d, ev, err := p.delayed()
+	if err != nil {
+		return DeadlineReport{}, err
+	}
+	return core.NewDeadlineReport(p.model, p.cfg.deadline, tS, m.B, m.TInf, DelayedParams{T0: d.T0, TInf: d.TInf}, ev.Parallel)
 }
 
 // Optimize tunes a strategy's free parameters on the Planner's model
@@ -505,11 +539,11 @@ func (p *Planner) CompareDeadline() (DeadlineReport, error) {
 func (p *Planner) Optimize(s Strategy) (Strategy, Evaluation, error) {
 	switch s := s.(type) {
 	case Single:
-		// A model with no cost reference still has a single optimum;
-		// the direct optimization below reports it.
-		if base, err := p.baseline(); err == nil {
-			return Single{TInf: base.rec.TInf}, base.rec.Eval, nil
+		tInf, ev, err := p.single()
+		if err != nil {
+			return nil, Evaluation{}, err
 		}
+		return Single{TInf: tInf}, ev, nil
 	case Multiple:
 		tuned, ev, err := p.multiple(s.B)
 		if err != nil {
@@ -517,14 +551,11 @@ func (p *Planner) Optimize(s Strategy) (Strategy, Evaluation, error) {
 		}
 		return tuned, ev, nil
 	case Delayed:
-		opt, err := p.memo.delayed.get(p.cfg.ctx, func() (optimum[Delayed], error) {
-			dp, ev, err := core.OptimizeDelayed(p.cfg.ctx, p.model, p.cfg.parallelism)
-			return optimum[Delayed]{Delayed{T0: dp.T0, TInf: dp.TInf}, ev}, err
-		})
+		tuned, ev, err := p.delayed()
 		if err != nil {
 			return nil, Evaluation{}, err
 		}
-		return opt.s, opt.ev, nil
+		return tuned, ev, nil
 	}
 	cs, ok := s.(ctxStrategy)
 	if !ok {

@@ -3,6 +3,7 @@ package gridstrat
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -338,19 +339,102 @@ func TestPlannerContextCancellation(t *testing.T) {
 		t.Fatalf("pre-cancelled Simulate: %v, want context.Canceled", err)
 	}
 
-	tctx, tcancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
-	defer tcancel()
-	p2, err := NewPlanner(m, WithContext(tctx))
+	// Mid-flight: a cold Recommend cancelled from inside its own run,
+	// at half the integral calls an uncancelled run makes, must return
+	// context.Canceled and stop early.
+	full := &kernelCountingModel{EmpiricalModel: m}
+	pf, err := NewPlanner(full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if _, err := p2.Recommend(); err == nil {
-		t.Fatal("Recommend survived a 5ms deadline")
+	if _, err := pf.Recommend(); err != nil {
+		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("cancellation took %v; the optimizers are not checking the context", elapsed)
+	total := full.calls.Load()
+	if total < 100 {
+		t.Fatalf("uncancelled Recommend made only %d integral calls", total)
 	}
+	for _, par := range []int{1, 4} {
+		cctx, ccancel := context.WithCancel(context.Background())
+		cm := &kernelCountingModel{EmpiricalModel: m, cancelAt: total / 2, cancel: ccancel}
+		p2, err := NewPlanner(cm, WithContext(cctx), WithParallelism(par))
+		if err != nil {
+			ccancel()
+			t.Fatal(err)
+		}
+		_, err = p2.Recommend()
+		ccancel()
+		if err != context.Canceled {
+			t.Fatalf("parallelism %d: Recommend cancelled at call %d: %v, want context.Canceled", par, total/2, err)
+		}
+		n := cm.calls.Load()
+		if n >= total {
+			t.Fatalf("parallelism %d: cancelled Recommend made %d integral calls, an uncancelled one %d", par, n, total)
+		}
+		t.Logf("parallelism %d: cancelled at call %d, stopped after %d of %d", par, total/2, n, total)
+	}
+}
+
+// kernelCountingModel forwards every integral of the empirical model it
+// wraps, its batch, fused and ratio-grid kernels included, so the
+// optimizers take the same paths through it, and counts the calls. At
+// call number cancelAt it calls cancel.
+type kernelCountingModel struct {
+	*EmpiricalModel
+	calls    atomic.Int64
+	cancelAt int64
+	cancel   func()
+}
+
+func (c *kernelCountingModel) tick() {
+	if n := c.calls.Add(1); n == c.cancelAt && c.cancel != nil {
+		c.cancel()
+	}
+}
+
+func (c *kernelCountingModel) IntOneMinusFPow(T float64, b int) float64 {
+	c.tick()
+	return c.EmpiricalModel.IntOneMinusFPow(T, b)
+}
+
+func (c *kernelCountingModel) IntUOneMinusFPow(T float64, b int) float64 {
+	c.tick()
+	return c.EmpiricalModel.IntUOneMinusFPow(T, b)
+}
+
+func (c *kernelCountingModel) IntProdOneMinusF(T, shift float64) float64 {
+	c.tick()
+	return c.EmpiricalModel.IntProdOneMinusF(T, shift)
+}
+
+func (c *kernelCountingModel) IntUProdOneMinusF(T, shift float64) float64 {
+	c.tick()
+	return c.EmpiricalModel.IntUProdOneMinusF(T, shift)
+}
+
+func (c *kernelCountingModel) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {
+	c.tick()
+	return c.EmpiricalModel.IntOneMinusFPowBatch(Ts, b)
+}
+
+func (c *kernelCountingModel) IntUOneMinusFPowBatch(Ts []float64, b int) []float64 {
+	c.tick()
+	return c.EmpiricalModel.IntUOneMinusFPowBatch(Ts, b)
+}
+
+func (c *kernelCountingModel) IntProdBothBatch(Ts []float64, shift float64) ([]float64, []float64) {
+	c.tick()
+	return c.EmpiricalModel.IntProdBothBatch(Ts, shift)
+}
+
+func (c *kernelCountingModel) IntProdBothOneMinusF(T, shift float64) (float64, float64) {
+	c.tick()
+	return c.EmpiricalModel.IntProdBothOneMinusF(T, shift)
+}
+
+func (c *kernelCountingModel) IntProdRatioGrid(ratio, lo, h float64, out []float64) {
+	c.tick()
+	c.EmpiricalModel.IntProdRatioGrid(ratio, lo, h, out)
 }
 
 // scalarOnlyModel hides the optional batch and fused cross-term
@@ -548,13 +632,102 @@ func TestPlannerDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := core.CompareDeadline(context.Background(), m, 900, 3, 1)
+	want, err := compareDeadlineOracle(context.Background(), m, 900, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep.Single.Probability != want.Single.Probability ||
 		rep.Multiple.Probability != want.Multiple.Probability {
 		t.Fatalf("planner deadline report differs from legacy: %+v vs %+v", rep, want)
+	}
+}
+
+// compareDeadlineOracle is the deadline comparison as it ran before
+// the Planner read its optima from the candidate table: it optimizes
+// single, multiple and delayed on every call and builds the report
+// itself.
+func compareDeadlineOracle(ctx context.Context, m Model, deadline float64, b int, workers int) (core.DeadlineReport, error) {
+	rep := core.DeadlineReport{Deadline: deadline}
+	tS, _, err := core.OptimizeSingle(ctx, m, workers)
+	if err != nil {
+		return core.DeadlineReport{}, err
+	}
+	cdfS := core.SingleCDF(m, tS)
+	rep.Single = core.DeadlineEntry{
+		Label:       fmt.Sprintf("single(t∞=%.0fs)", tS),
+		Probability: cdfS(deadline),
+		Parallel:    1,
+		P95:         core.QuantileJ(cdfS, 0.95, tS),
+	}
+	tM, _, err := core.OptimizeMultiple(ctx, m, b, workers)
+	if err != nil {
+		return core.DeadlineReport{}, err
+	}
+	cdfM := core.MultipleCDF(m, b, tM)
+	rep.Multiple = core.DeadlineEntry{
+		Label:       fmt.Sprintf("multiple(b=%d, t∞=%.0fs)", b, tM),
+		Probability: cdfM(deadline),
+		Parallel:    float64(b),
+		P95:         core.QuantileJ(cdfM, 0.95, tM),
+	}
+	p, ev, err := core.OptimizeDelayed(ctx, m, workers)
+	if err != nil {
+		return core.DeadlineReport{}, err
+	}
+	cdfD := core.DelayedCDF(m, p)
+	rep.Delayed = core.DeadlineEntry{
+		Label:       fmt.Sprintf("delayed(t0=%.0fs, t∞=%.0fs)", p.T0, p.TInf),
+		Probability: cdfD(deadline),
+		Parallel:    ev.Parallel,
+		P95:         core.QuantileJ(cdfD, 0.95, p.T0),
+	}
+	return rep, nil
+}
+
+// TestCompareDeadlineReadsCandidateTable: the Planner's deadline
+// report, built from the candidate table's single, multiple and 2-D
+// delayed optima, equals the per-call optimizing oracle on every paper
+// dataset, and a second call on the same Planner makes no integral
+// call at all.
+func TestCompareDeadlineReadsCandidateTable(t *testing.T) {
+	specs := PaperDatasets()
+	if testing.Short() || raceEnabled {
+		specs = specs[:3]
+	}
+	for _, spec := range specs {
+		name := spec.Name
+		tr, err := SynthesizeDataset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		em, err := ModelFromTrace(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm := &kernelCountingModel{EmpiricalModel: em}
+		p, err := NewPlanner(cm, WithDeadline(900), WithCollectionSize(3), WithParallelism(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := p.CompareDeadline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := compareDeadlineOracle(context.Background(), em, 900, 3, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Fatalf("%s: planner %+v, oracle %+v", name, got, want)
+		}
+		before := cm.calls.Load()
+		again, err := p.CompareDeadline()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := cm.calls.Load() - before; n != 0 || again != got {
+			t.Fatalf("%s: second CompareDeadline made %d integral calls (report %+v, first %+v)", name, n, again, got)
+		}
 	}
 }
 
