@@ -184,8 +184,8 @@ func BenchmarkRunAll(b *testing.B) {
 	}
 }
 
-// BenchmarkRunAllSequential is the workers = 1 baseline the perf
-// trajectory (BENCH_PR2.json) compares the parallel harness against.
+// BenchmarkRunAllSequential is the workers = 1 baseline that
+// BenchmarkRunAll's parallel harness is compared against.
 func BenchmarkRunAllSequential(b *testing.B) {
 	c := benchContext(b)
 	for i := 0; i < b.N; i++ {

@@ -14,6 +14,22 @@ import (
 // methods.
 type scalarOnly struct{ Model }
 
+// walkerModel is scanned point by point like scalarOnly, but answers
+// its pow integrals with the O(n) reference walkers instead of the
+// prefix-sum kernels; its cross terms are the scalar kernels.
+type walkerModel struct {
+	Model
+	e *stats.ECDF
+}
+
+func (w walkerModel) IntOneMinusFPow(T float64, b int) float64 {
+	return w.e.IntegralOneMinusFPowWalk(T, 1-w.Rho(), b)
+}
+
+func (w walkerModel) IntUOneMinusFPow(T float64, b int) float64 {
+	return w.e.IntegralUOneMinusFPowWalk(T, 1-w.Rho(), b)
+}
+
 func parityModel(t *testing.T, seed int64, rho float64) *EmpiricalModel {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -32,14 +48,20 @@ func parityModel(t *testing.T, seed int64, rho float64) *EmpiricalModel {
 // of the kernelized engine: every optimizer that detects
 // BatchIntegrals must return bit-identical results with the extension
 // hidden (the pointwise adapter over the scalar kernels) and visible
-// (swept batch kernels), at several worker counts.
+// (swept batch kernels), at several worker counts. With the pow
+// integrals answered by the reference walkers (walkerModel) the
+// multiple-submission optima and curve must agree to 1e-9 in t∞ and
+// 1e-12 in EJ and σ, and the delayed optimum exactly.
 func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 	ctx := context.Background()
 	for _, rho := range []float64{0, 0.17} {
 		m := parityModel(t, 42, rho)
 		sm := scalarOnly{m}
-		if _, ok := Model(sm).(BatchIntegrals); ok {
-			t.Fatal("scalarOnly must hide the batch extension")
+		wm := walkerModel{m, m.ECDF()}
+		for _, x := range []Model{sm, wm} {
+			if _, ok := x.(BatchIntegrals); ok {
+				t.Fatalf("%T must hide the batch extension", x)
+			}
 		}
 
 		for _, b := range []int{1, 3, 5} {
@@ -55,6 +77,20 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 				if tb != ts || evb != evs {
 					t.Fatalf("b=%d workers=%d: batch (%v, %+v) != scalar (%v, %+v)", b, workers, tb, evb, ts, evs)
 				}
+				tw, evw, err := OptimizeMultiple(ctx, wm, b, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if relDiff(tw, tb) > 1e-9 || relDiff(evw.EJ, evb.EJ) > 1e-12 || relDiff(evw.Sigma, evb.Sigma) > 1e-12 {
+					t.Fatalf("b=%d workers=%d: walker (%v, %+v) vs kernel (%v, %+v)", b, workers, tw, evw, tb, evb)
+				}
+			}
+		}
+		_, ejw := MultipleCurve(wm, 5, 2000, 2000)
+		_, ejk := MultipleCurve(m, 5, 2000, 2000)
+		for i := range ejk {
+			if relDiff(ejw[i], ejk[i]) > 1e-12 {
+				t.Fatalf("MultipleCurve[%d]: walker %v vs kernel %v", i, ejw[i], ejk[i])
 			}
 		}
 
@@ -76,6 +112,13 @@ func TestBatchOptimizersMatchScalarPath(t *testing.T) {
 		}
 		if pb != ps || evb != evs {
 			t.Fatalf("OptimizeDelayed: batch (%+v, %+v) != scalar (%+v, %+v)", pb, evb, ps, evs)
+		}
+		pw, evw, err := OptimizeDelayed(ctx, wm, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pw != pb || evw != evb {
+			t.Fatalf("OptimizeDelayed: walker (%+v, %+v) != kernel (%+v, %+v)", pw, evw, pb, evb)
 		}
 
 		ratios := []float64{1.3, 2.0}
@@ -152,8 +195,9 @@ func TestScalarOnlyOptimizersHonorCancellation(t *testing.T) {
 }
 
 // TestKernelIntegralsMatchWalkersOnModel re-checks the four Model
-// integral methods against the exported reference walkers through the
-// EmpiricalModel's s = 1-ρ scaling.
+// integral methods through the EmpiricalModel's s = 1-ρ scaling: the
+// pow integrals against the exported reference walkers, the cross
+// terms against the ECDF's own cross-term walks.
 func TestKernelIntegralsMatchWalkersOnModel(t *testing.T) {
 	m := parityModel(t, 7, 0.12)
 	e := m.ECDF()
@@ -168,11 +212,11 @@ func TestKernelIntegralsMatchWalkersOnModel(t *testing.T) {
 			}
 		}
 		for _, shift := range []float64{0, 100, 7000} {
-			if got, want := m.IntProdOneMinusF(T, shift), e.IntegralProdOneMinusFWalk(T, shift, s); got != want {
-				t.Fatalf("IntProdOneMinusF(%v, %v) = %v, walker %v", T, shift, got, want)
+			if got, want := m.IntProdOneMinusF(T, shift), e.IntegralProdOneMinusF(T, shift, s); got != want {
+				t.Fatalf("IntProdOneMinusF(%v, %v) = %v, ECDF %v", T, shift, got, want)
 			}
-			if got, want := m.IntUProdOneMinusF(T, shift), e.IntegralUProdOneMinusFWalk(T, shift, s); got != want {
-				t.Fatalf("IntUProdOneMinusF(%v, %v) = %v, walker %v", T, shift, got, want)
+			if got, want := m.IntUProdOneMinusF(T, shift), e.IntegralUProdOneMinusF(T, shift, s); got != want {
+				t.Fatalf("IntUProdOneMinusF(%v, %v) = %v, ECDF %v", T, shift, got, want)
 			}
 		}
 	}

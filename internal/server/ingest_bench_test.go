@@ -1,6 +1,6 @@
 package server
 
-// Ingest-throughput benchmarks and the PR 5 perf-trajectory snapshot.
+// Ingest-throughput benchmarks.
 //
 // BenchmarkObserveBatch drives steady-state observation batches (every
 // batch evicts about as many records as it appends) through the two
@@ -10,24 +10,10 @@ package server
 //	              validate, re-scan the window, re-sort the ECDF,
 //	              re-sort the summary stats (legacyEntry replica)
 //	incremental — the rolling-buffer + merge-ECDF + prewarm pipeline
-//
-// TestBenchSnapshotIngest times the same workloads plus the post-swap
-// first-query pair and writes BENCH_PR5.json (same schema as the PR 2
-// and PR 3 snapshots: `sequential_ns` = old path, `parallel_ns` = new
-// path). Gate and output override:
-//
-//	GRIDSTRAT_BENCH_SNAPSHOT=1 GRIDSTRAT_BENCH_OUT=$PWD/BENCH_PR5.json \
-//	  go test -run TestBenchSnapshotIngest -v ./internal/server/
-//
-// CI runs it on every push and uploads the JSON as a build artifact.
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"gridstrat/internal/trace"
 )
@@ -99,174 +85,4 @@ func BenchmarkObserveBatch(b *testing.B) {
 		b.Run(name+"/full", func(b *testing.B) { benchmarkObserveFull(b, w) })
 		b.Run(name+"/incremental", func(b *testing.B) { benchmarkObserveIncremental(b, w) })
 	}
-}
-
-// --- PR 5 perf-trajectory snapshot ---
-
-type ingestSnapshot struct {
-	Schema     string            `json:"schema"`
-	PR         int               `json:"pr"`
-	Generated  string            `json:"generated"`
-	GoVersion  string            `json:"go"`
-	GOOS       string            `json:"goos"`
-	GOARCH     string            `json:"goarch"`
-	NumCPU     int               `json:"num_cpu"`
-	GOMAXPROCS int               `json:"gomaxprocs"`
-	Benchmarks []ingestSnapEntry `json:"benchmarks"`
-}
-
-type ingestSnapEntry struct {
-	Name         string  `json:"name"`
-	SequentialNS int64   `json:"sequential_ns"` // pre-incremental path
-	ParallelNS   int64   `json:"parallel_ns"`   // incremental path
-	Speedup      float64 `json:"speedup"`
-}
-
-// snapTime returns the best-of-reps wall time of f.
-func snapTime(t *testing.T, reps int, f func() error) int64 {
-	t.Helper()
-	best := int64(0)
-	for r := 0; r < reps; r++ {
-		start := time.Now()
-		if err := f(); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start).Nanoseconds(); best == 0 || d < best {
-			best = d
-		}
-	}
-	return best
-}
-
-func TestBenchSnapshotIngest(t *testing.T) {
-	if os.Getenv("GRIDSTRAT_BENCH_SNAPSHOT") == "" {
-		t.Skip("set GRIDSTRAT_BENCH_SNAPSHOT=1 to record the ingest perf snapshot (writes BENCH_PR5.json)")
-	}
-	out := os.Getenv("GRIDSTRAT_BENCH_OUT")
-	if out == "" {
-		out = "BENCH_PR5.json"
-	}
-	snap := ingestSnapshot{
-		Schema:     "gridstrat-bench-snapshot/v1",
-		PR:         5,
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-	record := func(name string, oldNS, newNS int64) {
-		snap.Benchmarks = append(snap.Benchmarks, ingestSnapEntry{
-			Name:         name,
-			SequentialNS: oldNS,
-			ParallelNS:   newNS,
-			Speedup:      float64(oldNS) / float64(newNS),
-		})
-		t.Logf("%s: full-rebuild %v, incremental %v (%.2fx)",
-			name, time.Duration(oldNS), time.Duration(newNS), float64(oldNS)/float64(newNS))
-	}
-
-	// Ingest throughput: a fixed run of steady-state batches through
-	// both write paths. Each timed run gets fresh entries (identical
-	// batch streams via identical seeds) so neither path benefits from
-	// the other's state.
-	for _, cfg := range []struct {
-		name    string
-		w       int
-		batches int
-	}{
-		{"IngestObserveBatchW1e4", 10_000, 50},
-		{"IngestObserveBatchW1e5", 100_000, 20},
-	} {
-		fullNS := snapTime(t, 3, func() error {
-			tr, width := benchSeedTrace(cfg.w)
-			l, err := newLegacyEntry(tr, width)
-			if err != nil {
-				return err
-			}
-			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < cfg.batches; i++ {
-				if _, err := l.observe(benchBatch(rng, benchBatchSize), nil, 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		incrNS := snapTime(t, 3, func() error {
-			tr, width := benchSeedTrace(cfg.w)
-			e, err := newEntry("bench", "test", width, tr, 0, 0, false)
-			if err != nil {
-				return err
-			}
-			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < cfg.batches; i++ {
-				if _, err := e.Observe(benchBatch(rng, benchBatchSize), nil, 1); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		record(cfg.name, fullNS, incrNS)
-	}
-
-	// Post-swap first-query latency: the cold-cache penalty the warm
-	// handoff eliminates. All three measurements query the same
-	// integrand on the same window size; only the cache state differs.
-	tr, width := benchSeedTrace(100_000)
-	e, err := newEntry("warm", "test", width, tr, 0, 0, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := e.State()
-	s := 1 - st.Model.Rho()
-	st.ecdf.IntegralOneMinusFPow(600, s, 5) // build the kernel once
-	// Warm pre-swap reference: a single-shot first query at a fresh T
-	// on the already-built table — the same measurement shape as the
-	// post-swap probes below, so all three numbers are comparable.
-	warmNS := snapTime(t, 1, func() error {
-		st.ecdf.IntegralOneMinusFPow(601, s, 5)
-		return nil
-	})
-	// Swap via one observation batch; the rebuild prewarms the new
-	// epoch from the old one's table manifest.
-	rng := rand.New(rand.NewSource(5))
-	res, err := e.Observe(benchBatch(rng, benchBatchSize), nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prewarmedNS := snapTime(t, 1, func() error {
-		res.State.ecdf.IntegralOneMinusFPow(602, s, 5)
-		return nil
-	})
-	// Cold baseline: the same post-swap window without the handoff
-	// pays the O(n) table build on its first query.
-	cold, err := res.State.Trace.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	coldNS := snapTime(t, 1, func() error {
-		cold.IntegralOneMinusFPow(602, s, 5)
-		return nil
-	})
-	record("PostSwapFirstQueryB5", coldNS, prewarmedNS)
-	t.Logf("PostSwapFirstQueryB5: warm pre-swap reference %v (prewarmed post-swap %v)",
-		time.Duration(warmNS), time.Duration(prewarmedNS))
-	// Acceptance: the prewarmed first query must not repay the table
-	// build — it has to land at warm-query latency, far under the cold
-	// build. Allow generous jitter headroom on the µs-scale warm pair.
-	if prewarmedNS > coldNS/10 {
-		t.Fatalf("post-swap first query %v did not eliminate the cold build (cold %v)",
-			time.Duration(prewarmedNS), time.Duration(coldNS))
-	}
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d CPUs, GOMAXPROCS %d)", out, snap.NumCPU, snap.GOMAXPROCS)
 }

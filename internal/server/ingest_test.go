@@ -575,3 +575,33 @@ func TestAsyncDegenerateWindowKeepsLastGoodModel(t *testing.T) {
 		t.Fatalf("recovered window outliers %d, want 2", st.Stats.Outliers)
 	}
 }
+
+// TestObservePrewarmsSwappedSnapshot checks the warm-cache handoff by
+// construction: a pow kernel queried on one snapshot is already built
+// on the snapshot an observation batch swaps in, before that snapshot
+// answers anything, so its first query is a binary search instead of
+// an O(n) table build.
+func TestObservePrewarmsSwappedSnapshot(t *testing.T) {
+	tr, width := benchSeedTrace(100_000)
+	e, err := newEntry("warm", "test", width, tr, 0, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := e.State()
+	key := stats.TableKey{S: 1 - st.Model.Rho(), B: 5}
+	st.ecdf.IntegralOneMinusFPow(600, key.S, key.B)
+	res, err := e.Observe(benchBatch(rand.New(rand.NewSource(5)), benchBatchSize), nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.State == st || res.State.ecdf == st.ecdf {
+		t.Fatal("the observation batch did not swap in a new snapshot")
+	}
+	keys := res.State.ecdf.TableKeys()
+	for _, k := range keys {
+		if k == key {
+			return
+		}
+	}
+	t.Fatalf("swapped-in snapshot holds kernels %v, want %v built before its first query", keys, key)
+}

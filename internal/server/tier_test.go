@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gridstrat"
+	"gridstrat/internal/stats"
 )
 
 // Tiering tests: the exact ⇄ sketch state machine, byte-pressure
@@ -349,5 +350,48 @@ func TestDemotedModelServesQueries(t *testing.T) {
 	}
 	if _, err := c.Recommend(context.Background(), "a", RecommendRequest{}); err != nil {
 		t.Fatalf("Recommend after observe: %v", err)
+	}
+}
+
+// warmTierKernels runs the steady-state batch query mix, a pow-kernel
+// grid sweep plus a cross-term grid sweep, so the kernels a serving
+// model holds are built before its bytes are counted.
+func warmTierKernels(d stats.EmpiricalDistribution) {
+	grid := make([]float64, 256)
+	max := d.Max()
+	for i := range grid {
+		grid[i] = max * float64(i+1) / float64(len(grid))
+	}
+	d.IntegralOneMinusFPowBatch(grid, 1, 2)
+	d.IntegralProdBothBatch(grid, max/10, 1)
+}
+
+// TestSketchTierDensity: the sketch tier exists for many-model
+// tenancy, so on one durable W = 1e5 entry the deep-demoted sketch
+// representation (compiled view and its kernels, window in the WAL)
+// must hold at least 20x fewer resident bytes, i.e. fit 20x more
+// models per GB, than the exact one (window, counted ECDF and its
+// kernels), both queried with the same mix.
+func TestSketchTierDensity(t *testing.T) {
+	reg, e, err := benchWALRegistry(100_000, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Delete("bench")
+	warmTierKernels(e.State().ecdf)
+	exact := e.MemBytes()
+	if !e.demote() {
+		t.Fatal("demote returned false")
+	}
+	sk := e.State().sketch
+	if sk == nil {
+		t.Fatal("demoted state has no sketch")
+	}
+	warmTierKernels(sk)
+	sketch := e.MemBytes()
+	ratio := float64(exact) / float64(sketch)
+	t.Logf("exact %d B/model, sketch %d B/model: %.1fx models/GB (eps %.4f)", exact, sketch, ratio, sk.ErrorBound())
+	if ratio < 20 {
+		t.Fatalf("sketch tier packs only %.1fx more models/GB (bound: 20x)", ratio)
 	}
 }

@@ -1,30 +1,16 @@
 package server
 
-// WAL ingest-overhead benchmarks and the PR 6 durability snapshot.
+// WAL ingest-overhead benchmarks.
 //
 // BenchmarkObserveBatchWAL drives the same steady-state observation
 // batches as BenchmarkObserveBatch (W = 1e5 window records, 100-record
 // batches) through a registry entry twice: once in-memory only, once
 // with a write-ahead log attached under the default interval fsync
-// policy. The delta is the price of durability on the hot write path.
-//
-// TestBenchSnapshotWAL times the paired workload and writes
-// BENCH_PR6.json (same schema as the earlier snapshots, with
-// `sequential_ns` = WAL-on and `parallel_ns` = WAL-off, so `speedup`
-// reads as the overhead factor). It enforces the PR 6 acceptance
-// bound: WAL-on ingest must stay within 2x of WAL-off. Gate and
-// output override:
-//
-//	GRIDSTRAT_BENCH_SNAPSHOT=1 GRIDSTRAT_BENCH_OUT=$PWD/BENCH_PR6.json \
-//	  go test -run TestBenchSnapshotWAL -v ./internal/server/
-//
-// CI runs it on every push and uploads the JSON as a build artifact.
+// policy. The delta is the price of durability on the hot write path;
+// BenchmarkIngestWALOverhead gates it.
 
 import (
-	"encoding/json"
 	"math/rand"
-	"os"
-	"runtime"
 	"testing"
 	"time"
 
@@ -78,30 +64,32 @@ func BenchmarkObserveBatchWAL(b *testing.B) {
 	b.Run("W=1e5/on", func(b *testing.B) { benchmarkObserveWAL(b, 100_000, true) })
 }
 
-// walSnapTime is snapTime with the registry build (including the seed
-// snapshot write on the WAL-on arm) hoisted out of the timed region:
-// the comparison is about the per-batch append cost, and both arms
-// replay the identical batch stream from the same seed.
-func walSnapTime(t *testing.T, reps, w, batches int, withWAL bool) int64 {
-	t.Helper()
-	best := int64(0)
+// walIngestTime returns the best-of-reps wall time of `batches`
+// steady-state observation batches on a fresh W-record registry entry.
+// The registry build (including the seed snapshot write on the WAL-on
+// arm) is hoisted out of the timed region: the comparison is about the
+// per-batch append cost, and both arms replay the identical batch
+// stream from the same seed.
+func walIngestTime(b *testing.B, reps, w, batches int, withWAL bool) time.Duration {
+	b.Helper()
+	best := time.Duration(0)
 	for r := 0; r < reps; r++ {
 		dir := ""
 		if withWAL {
-			dir = t.TempDir()
+			dir = b.TempDir()
 		}
 		reg, e, err := benchWALRegistry(w, dir)
 		if err != nil {
-			t.Fatal(err)
+			b.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(9))
 		start := time.Now()
 		for i := 0; i < batches; i++ {
 			if _, err := e.Observe(benchBatch(rng, benchBatchSize), nil, 1); err != nil {
-				t.Fatal(err)
+				b.Fatal(err)
 			}
 		}
-		if d := time.Since(start).Nanoseconds(); best == 0 || d < best {
+		if d := time.Since(start); best == 0 || d < best {
 			best = d
 		}
 		reg.Delete("bench")
@@ -109,52 +97,20 @@ func walSnapTime(t *testing.T, reps, w, batches int, withWAL bool) int64 {
 	return best
 }
 
-func TestBenchSnapshotWAL(t *testing.T) {
-	if os.Getenv("GRIDSTRAT_BENCH_SNAPSHOT") == "" {
-		t.Skip("set GRIDSTRAT_BENCH_SNAPSHOT=1 to record the WAL overhead snapshot (writes BENCH_PR6.json)")
-	}
-	out := os.Getenv("GRIDSTRAT_BENCH_OUT")
-	if out == "" {
-		out = "BENCH_PR6.json"
-	}
-	snap := ingestSnapshot{
-		Schema:     "gridstrat-bench-snapshot/v1",
-		PR:         6,
-		Generated:  time.Now().UTC().Format(time.RFC3339),
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-	}
-
+// BenchmarkIngestWALOverhead times 20 steady-state batches at W = 1e5,
+// best of 3, with and without the WAL, reports WAL-on over WAL-off as
+// "overhead-x", and fails past 2x: durability must not halve ingest
+// throughput. The append path is an in-memory encode plus a buffered
+// sequential write; fsync rides the interval flusher off the hot path.
+func BenchmarkIngestWALOverhead(b *testing.B) {
 	const w, batches = 100_000, 20
-	offNS := walSnapTime(t, 3, w, batches, false)
-	onNS := walSnapTime(t, 3, w, batches, true)
-	overhead := float64(onNS) / float64(offNS)
-	snap.Benchmarks = append(snap.Benchmarks, ingestSnapEntry{
-		Name:         "IngestWALOverheadW1e5",
-		SequentialNS: onNS,  // WAL-on (durable) arm
-		ParallelNS:   offNS, // WAL-off (in-memory) arm
-		Speedup:      overhead,
-	})
-	t.Logf("IngestWALOverheadW1e5: WAL-off %v, WAL-on %v (%.2fx overhead)",
-		time.Duration(offNS), time.Duration(onNS), overhead)
-
-	// Acceptance: durability must not halve ingest throughput. The
-	// append path is an in-memory encode plus a buffered sequential
-	// write; fsync rides the interval flusher off the hot path.
-	if overhead > 2.0 {
-		t.Fatalf("WAL-on ingest is %.2fx WAL-off (bound: 2x)", overhead)
+	for i := 0; i < b.N; i++ {
+		off := walIngestTime(b, 3, w, batches, false)
+		on := walIngestTime(b, 3, w, batches, true)
+		overhead := float64(on) / float64(off)
+		b.ReportMetric(overhead, "overhead-x")
+		if overhead > 2.0 {
+			b.Fatalf("WAL-on ingest is %.2fx WAL-off (bound: 2x): on %v, off %v", overhead, on, off)
+		}
 	}
-
-	data, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile(out, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %s (%d CPUs, GOMAXPROCS %d)", out, snap.NumCPU, snap.GOMAXPROCS)
 }

@@ -460,10 +460,10 @@ func (e *ECDF) powBatch(Ts []float64, s float64, b int, uweighted bool) []float6
 
 // --- Reference walkers ---
 //
-// The original O(n) implementations are retained under the …Walk names
-// as the ground truth the kernels are property-tested against, and as
-// the "PR 2 path" the perf-trajectory snapshot (BENCH_PR3.json) times
-// the kernels against.
+// The O(n) pow-integral walks. They answer a query when no prefix-sum
+// kernel can (the kernel cache is full, or the support has a negative
+// point), and they are the ground truth the kernels are property-tested
+// against.
 
 // IntegralOneMinusFPowWalk is the O(n) reference walker for
 // IntegralOneMinusFPow.
@@ -548,20 +548,6 @@ func (e *ECDF) IntegralProdOneMinusF(T, shift, s float64) float64 {
 // IntegralUProdOneMinusF computes ∫₀ᵀ u·(1-s·F(u+shift))·(1-s·F(u)) du
 // exactly; the second-moment companion of IntegralProdOneMinusF.
 func (e *ECDF) IntegralUProdOneMinusF(T, shift, s float64) float64 {
-	return e.integralProd(T, shift, s, true)
-}
-
-// IntegralProdOneMinusFWalk is IntegralProdOneMinusF under the walker
-// naming scheme (the cross terms are inherently merged walks; the name
-// exists so the four integral primitives expose a uniform reference
-// surface for property tests and the perf snapshot).
-func (e *ECDF) IntegralProdOneMinusFWalk(T, shift, s float64) float64 {
-	return e.integralProd(T, shift, s, false)
-}
-
-// IntegralUProdOneMinusFWalk is the reference walker name for
-// IntegralUProdOneMinusF.
-func (e *ECDF) IntegralUProdOneMinusFWalk(T, shift, s float64) float64 {
 	return e.integralProd(T, shift, s, true)
 }
 

@@ -63,8 +63,8 @@ func BenchmarkKernelIntegralProdBoth(b *testing.B) {
 func BenchmarkKernelIntegralProdSeparateWalks(b *testing.B) {
 	e := benchECDF(2000)
 	for i := 0; i < b.N; i++ {
-		benchSink = e.IntegralProdOneMinusFWalk(200, 300, 0.9) +
-			e.IntegralUProdOneMinusFWalk(200, 300, 0.9)
+		benchSink = e.IntegralProdOneMinusF(200, 300, 0.9) +
+			e.IntegralUProdOneMinusF(200, 300, 0.9)
 	}
 }
 

@@ -53,10 +53,12 @@ func relErr(got, want float64) float64 {
 	return d / scale
 }
 
-// TestKernelMatchesWalkerProperty is the tentpole exactness gate: on
-// random ECDFs, all four integral primitives must agree between the
-// prefix-sum kernels and the O(n) reference walkers to 1e-12 for every
-// combination of T placement, shift, s ∈ {1-ρ, 1}, and b ∈ {1,2,5,10}.
+// TestKernelMatchesWalkerProperty is the kernels' exactness gate: on
+// random ECDFs, the two pow integrals must agree between the prefix-sum
+// kernels and the O(n) reference walkers to 1e-12, and the fused cross
+// terms must equal the two scalar cross-term walks bit for bit, for
+// every combination of T placement, shift, s ∈ {1-ρ, 1}, and
+// b ∈ {1,2,5,10}.
 func TestKernelMatchesWalkerProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	for trial := 0; trial < 60; trial++ {
@@ -82,8 +84,8 @@ func TestKernelMatchesWalkerProperty(t *testing.T) {
 			for _, shift := range shifts {
 				for _, T := range Ts {
 					p0, u0 := e.IntegralProdBoth(T, shift, s)
-					w0 := e.IntegralProdOneMinusFWalk(T, shift, s)
-					wu := e.IntegralUProdOneMinusFWalk(T, shift, s)
+					w0 := e.IntegralProdOneMinusF(T, shift, s)
+					wu := e.IntegralUProdOneMinusF(T, shift, s)
 					if p0 != w0 {
 						t.Fatalf("prod fused: T=%v shift=%v s=%v got %v want %v", T, shift, s, p0, w0)
 					}
@@ -295,8 +297,8 @@ func TestKernelTablesConcurrent(t *testing.T) {
 			rs[i] = ref{
 				pow:   e.IntegralOneMinusFPowWalk(T, s, b),
 				upow:  e.IntegralUOneMinusFPowWalk(T, s, b),
-				prod:  e.IntegralProdOneMinusFWalk(T, 40, s),
-				uprod: e.IntegralUProdOneMinusFWalk(T, 40, s),
+				prod:  e.IntegralProdOneMinusF(T, 40, s),
+				uprod: e.IntegralUProdOneMinusF(T, 40, s),
 			}
 		}
 		want[b] = rs

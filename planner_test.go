@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"gridstrat/internal/core"
 	"gridstrat/internal/optimize"
@@ -442,44 +441,49 @@ func (c *kernelCountingModel) IntProdRatioGrid(ratio, lo, h float64, out []float
 // the pointwise adapter.
 type scalarOnlyModel struct{ Model }
 
-// TestPlannerContextCancellationScalarOnly is the mid-flight deadline
-// check for a model without batch kernels: its scans run as pointwise
-// chunked sweeps, and a 2ms deadline must still abort a Recommend that
-// runs far longer uncancelled, at sequential and parallel execution.
+// TestPlannerContextCancellationScalarOnly is the mid-flight
+// cancellation check for a model without batch kernels: its scans run
+// as pointwise chunked sweeps, and a cold Recommend cancelled from
+// inside its own run, at half the integral calls an uncancelled run
+// makes, must return context.Canceled within a quarter of those calls
+// after the cancel, at sequential and parallel execution. The scans
+// check ctx at least once per grid chunk; the quarter leaves room for
+// the chunks in flight at parallelism 4.
 func TestPlannerContextCancellationScalarOnly(t *testing.T) {
-	m := scalarOnlyModel{refModel(t)}
-	if _, ok := Model(m).(BatchIntegrals); ok {
+	m := refModel(t)
+	if _, ok := Model(scalarOnlyModel{m}).(BatchIntegrals); ok {
 		t.Fatal("scalarOnlyModel must hide the batch extension")
 	}
-	const deadline = 2 * time.Millisecond
-	full, err := NewPlanner(m, WithParallelism(1))
+	full := &kernelCountingModel{EmpiricalModel: m}
+	pf, err := NewPlanner(scalarOnlyModel{full}, WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	if _, err := full.Recommend(); err != nil {
+	if _, err := pf.Recommend(); err != nil {
 		t.Fatal(err)
 	}
-	if elapsed := time.Since(start); elapsed < 10*deadline {
-		t.Fatalf("uncancelled Recommend took only %v; the deadline check below proves nothing", elapsed)
+	total := full.calls.Load()
+	if total < 100 {
+		t.Fatalf("uncancelled Recommend made only %d integral calls", total)
 	}
 	for _, par := range []int{1, 4} {
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		p, err := NewPlanner(m, WithParallelism(par), WithContext(ctx))
+		ctx, cancel := context.WithCancel(context.Background())
+		cm := &kernelCountingModel{EmpiricalModel: m, cancelAt: total / 2, cancel: cancel}
+		p, err := NewPlanner(scalarOnlyModel{cm}, WithParallelism(par), WithContext(ctx))
 		if err != nil {
 			cancel()
 			t.Fatal(err)
 		}
-		start := time.Now()
 		_, err = p.Recommend()
-		elapsed := time.Since(start)
 		cancel()
-		if err == nil {
-			t.Fatalf("parallelism %d: Recommend survived a %v deadline", par, deadline)
+		if err != context.Canceled {
+			t.Fatalf("parallelism %d: Recommend cancelled at call %d: %v, want context.Canceled", par, total/2, err)
 		}
-		if elapsed > 2*time.Second {
-			t.Fatalf("parallelism %d: cancellation took %v", par, elapsed)
+		n := cm.calls.Load()
+		if n-total/2 > total/4 {
+			t.Fatalf("parallelism %d: Recommend cancelled at call %d made %d integral calls, an uncancelled one %d", par, total/2, n, total)
 		}
+		t.Logf("parallelism %d: cancelled at call %d, stopped after %d of %d", par, total/2, n, total)
 	}
 }
 
