@@ -99,7 +99,7 @@ func (c *CostContext) OptimizeDelayedCost(ctx context.Context, workers int) (Cos
 	// an ECDF integral), skipped where the sweep already proved the
 	// cell infeasible.
 	frow := func(t0 float64, ratios []float64) []float64 {
-		ejs := ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1)
+		ejs := ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1, false)
 		for i, ratio := range ratios {
 			if math.IsInf(ejs[i], 1) {
 				continue

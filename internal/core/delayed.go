@@ -184,42 +184,159 @@ func ejDelayedRatioRound(k kernels, ratio, lo, h float64, out []float64) {
 	}
 }
 
-// ejDelayedRatioGrid evaluates EJDelayed on the grid t0s × ratios,
-// returning vals[j·len(t0s)+i] at (t0s[i], ratios[j]): the coarse
-// round every ratio's t0 search shares, and (with one t0) a row of the
-// (t0, ratio) surface scans. One batch call answers the pow integrals
-// of t0 and of every ratio's w column. A t0 row shares the cross
-// term's shift = t0, so a model with its own kernels answers the plain
-// cross terms of every ratio from one merged walk. A model scanned
-// pointwise walks each valid cell's plain term alone instead — its
-// merged "walk" would run the u-weighted half as a second full walk
-// per cell — and so does a row whose w values float rounding left
-// non-monotone. Rows fan across up to `workers` goroutines in
-// contiguous chunks; rows reached after ctx is done read +Inf. Values
-// are identical to per-cell EJDelayed calls.
-func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, workers int) []float64 {
+// roundingSlack widens round0Bounds' interval by this fraction of
+// EJ_hi on top of the confirmation margin, for the final roundings of
+// the EJ formula; it matters only where w is within ~1e-6 of zero
+// relative to t0, and moves no bound by more than 1e-13 relative.
+const roundingSlack = 1e-13
+
+// round0Bounds brackets the EJ of one cell (t0, t∞ = t0 + w) without
+// walking its cross term C = ∫₀^w S(u)·S(u+t0) du, S = 1-F̃, from the
+// b = 1 pow integrals ia = I(t0), iw = I(w), it = I(t∞) and the
+// survivals s0 = S(t0), q = S(t∞). S is nonincreasing, so both factors
+// of C are, and Chebyshev's integral inequality gives
+// C ≥ I(w)·(I(t∞)-I(t0))/w; S(u+t0) ∈ [q, S(t0)] on [0, w] gives
+// C ≥ q·I(w) and C ≤ S(t0)·I(w), and S(u) ≤ 1 gives C ≤ I(t∞)-I(t0).
+// EJ rises with C, so the walked EJ lies in [lo, hi]: the formula's
+// values at the two bounds, widened each way by σ =
+// ratioConfirmTol·(C_hi + w)/(1-q), round 1's margin, plus
+// roundingSlack·EJ_hi.
+func round0Bounds(ia, iw, it, s0, q, w float64) (lo, hi float64) {
+	shifted := it - ia // ∫₀^w S(u+t0) du
+	cLo := math.Max(iw*shifted/w, q*iw)
+	cHi := math.Min(shifted, s0*iw)
+	hi = ejDelayedFrom(ia, iw, cHi, q)
+	sigma := ratioConfirmTol*(cHi+w)/(1-q) + roundingSlack*hi
+	return ejDelayedFrom(ia, iw, cLo, q) - sigma, hi + sigma
+}
+
+// round0Rows returns the rows of the grid t0s × ratios that can hold
+// some ratio's minimum and writes +Inf into every cell of the others.
+// ints holds the batch pow integrals of t0s, of each ratio's w column
+// and of each ratio's t∞ column. Each valid cell's EJ is bracketed by
+// round0Bounds; a row is kept where some ratio's cell has a lower end
+// at or below the lowest upper end of that ratio, the rule round 1's
+// confirmation uses. The rows' cells are left for the caller to walk;
+// the bounds pass fans across `chunks` goroutines.
+func round0Rows(ctx context.Context, k kernels, ratios, t0s, ints, vals []float64, chunks int) []int {
 	n, nr := len(t0s), len(ratios)
-	buf := make([]float64, (2*nr+1)*n)
-	qs, vals := buf[:(nr+1)*n], buf[(nr+1)*n:] // qs: t0s, then each ratio's w column
-	copy(qs, t0s)
-	for j, r := range ratios {
-		col := qs[(j+1)*n : (j+2)*n]
-		for i, t0 := range t0s {
-			// Same expression as delayedMoments: w = TInf - T0 with
-			// TInf = ratio·t0.
-			col[i] = r*t0 - t0
-		}
-	}
-	ints := k.IntOneMinusFPowBatch(qs, 1)
-	_, scalar := k.(pointwise)
-	chunks := optimize.Workers(workers)
-	if chunks > n {
-		chunks = n
-	}
+	// vals holds each valid cell's lower end (+Inf where invalid),
+	// tops each chunk's lowest upper end per ratio.
+	tops := make([]float64, chunks*nr)
 	per := (n + chunks - 1) / chunks
 	optimize.ParallelFor(chunks, chunks, func(c int) {
+		top := tops[c*nr : (c+1)*nr]
+		for j := range top {
+			top[j] = math.Inf(1)
+		}
+		for i := c * per; i < n && i < (c+1)*per && ctx.Err() == nil; i++ {
+			t0 := t0s[i]
+			s0 := 1 - k.Ftilde(t0)
+			for j, r := range ratios {
+				q, ok := delayedCellQ(k, t0, r)
+				if !ok {
+					vals[j*n+i] = math.Inf(1)
+					continue
+				}
+				lo, hi := round0Bounds(ints[i], ints[(j+1)*n+i], ints[(nr+1+j)*n+i], s0, q, r*t0-t0)
+				vals[j*n+i] = lo
+				top[j] = math.Min(top[j], hi)
+			}
+		}
+	})
+	for c := 1; c < chunks; c++ {
+		for j := range nr {
+			tops[j] = math.Min(tops[j], tops[c*nr+j])
+		}
+	}
+	rows := make([]int, 0, n)
+	for i := range t0s {
+		walk := false
+		for j := 0; j < nr && !walk; j++ {
+			// An invalid cell is no candidate, even where its ratio has
+			// no valid cell (tops[j] = +Inf).
+			walk = vals[j*n+i] <= tops[j] && !math.IsInf(vals[j*n+i], 1)
+		}
+		if walk {
+			rows = append(rows, i)
+			continue
+		}
+		for j := range nr {
+			vals[j*n+i] = math.Inf(1)
+		}
+	}
+	return rows
+}
+
+// ejDelayedRatioGrid evaluates EJDelayed on the grid t0s × ratios,
+// returning vals[j·len(t0s)+i] at (t0s[i], ratios[j]): the coarse
+// round every ratio's t0 search shares (argmin set), and (with one t0)
+// a row of the (t0, ratio) surface scans. A t0 row shares the cross
+// term's shift = t0, so a model with its own kernels answers the plain
+// cross terms of every ratio from one merged walk, after one batch
+// call has answered the pow integrals of t0 and of every ratio's w
+// column. A model scanned pointwise asks its scalar integrals row by
+// row and walks each valid cell's plain term alone — its merged "walk"
+// would run the u-weighted half as a second full walk per cell — and
+// so does a row whose w values float rounding left non-monotone.
+//
+// With argmin set, the caller needs only each ratio's minimizing
+// cells. For a model with its own kernels the batch call then also
+// answers every ratio's t∞ column, and only the rows round0Rows keeps
+// are walked; every other cell reads +Inf. Each exact minimizer lies
+// in a walked row and every skipped cell's exact EJ is above its
+// ratio's minimum, so a scan of vals picks the cell a scan of the full
+// grid picks. Rows fan across up to `workers` goroutines in contiguous
+// chunks; rows reached after ctx is done read +Inf. Every value that
+// is not +Inf is identical to a per-cell EJDelayed call.
+func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, workers int, argmin bool) []float64 {
+	n, nr := len(t0s), len(ratios)
+	_, scalar := k.(pointwise)
+	prune := argmin && !scalar
+	var vals, ints []float64
+	if scalar {
+		vals = make([]float64, nr*n)
+	} else {
+		// qs: t0s, each ratio's w column, then (prune) each ratio's t∞
+		// column. Once the batch call has answered it, its head holds
+		// vals: rows recompute w from the same expression.
+		cols := nr + 1
+		if prune {
+			cols += nr
+		}
+		qs := make([]float64, cols*n)
+		copy(qs, t0s)
+		for j, r := range ratios {
+			for i, t0 := range t0s {
+				// Same expressions as delayedMoments: TInf = ratio·t0,
+				// w = TInf - T0.
+				qs[(j+1)*n+i] = r*t0 - t0
+				if prune {
+					qs[(nr+1+j)*n+i] = r * t0
+				}
+			}
+		}
+		ints = k.IntOneMinusFPowBatch(qs, 1)
+		vals = qs[:nr*n]
+	}
+	chunks := max(1, min(optimize.Workers(workers), n))
+	nrows, rows := n, []int(nil) // the rows to walk: all n, or rows
+	if prune {
+		rows = round0Rows(ctx, k, ratios, t0s, ints, vals, chunks)
+		nrows = len(rows)
+	}
+	if nrows == 0 {
+		return vals
+	}
+	chunks = min(chunks, nrows)
+	per := (nrows + chunks - 1) / chunks
+	optimize.ParallelFor(chunks, chunks, func(c int) {
 		ws := make([]float64, nr) // the w values of one t0 row
-		for i := c * per; i < n && i < (c+1)*per; i++ {
+		for pos := c * per; pos < nrows && pos < (c+1)*per; pos++ {
+			i := pos
+			if rows != nil {
+				i = rows[pos]
+			}
 			if ctx.Err() != nil {
 				for j := range ratios {
 					vals[j*n+i] = math.Inf(1)
@@ -227,12 +344,18 @@ func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, w
 				continue
 			}
 			t0 := t0s[i]
-			for j := range ratios {
-				ws[j] = qs[(j+1)*n+i]
+			for j, r := range ratios {
+				ws[j] = r*t0 - t0
 			}
 			var cs []float64
 			if !scalar && sort.Float64sAreSorted(ws) {
 				cs, _ = k.IntProdBothBatch(ws, t0)
+			}
+			var ia float64
+			if ints != nil {
+				ia = ints[i]
+			} else {
+				ia = k.IntOneMinusFPow(t0, 1)
 			}
 			for j, r := range ratios {
 				q, ok := delayedCellQ(k, t0, r)
@@ -240,13 +363,18 @@ func ejDelayedRatioGrid(ctx context.Context, k kernels, ratios, t0s []float64, w
 					vals[j*n+i] = math.Inf(1)
 					continue
 				}
-				var c float64
+				var cross, iw float64
 				if cs != nil {
-					c = cs[j]
+					cross = cs[j]
 				} else {
-					c = k.IntProdOneMinusF(ws[j], t0)
+					cross = k.IntProdOneMinusF(ws[j], t0)
 				}
-				vals[j*n+i] = ejDelayedFrom(ints[i], ints[(j+1)*n+i], c, q)
+				if ints != nil {
+					iw = ints[(j+1)*n+i]
+				} else {
+					iw = k.IntOneMinusFPow(ws[j], 1)
+				}
+				vals[j*n+i] = ejDelayedFrom(ia, iw, cross, q)
 			}
 		}
 	})
@@ -307,28 +435,36 @@ func NParallelGivenLatency(l float64, p DelayedParams) float64 {
 }
 
 // delayedExpectCells is the number of integration cells per T0-period
-// used by ExpectDelayed; the cell *masses* are exact (survival
-// differences), only the variation of g within a cell is approximated.
+// used by NParallelExpected; the cell *masses* are exact (survival
+// differences), only the variation of N‖ within a cell is
+// approximated.
 const delayedExpectCells = 1024
 
-// ExpectDelayed returns E[g(J)] for the delayed strategy by exact-mass
-// Stieltjes summation over the survival function: each cell of width
-// T0/delayedExpectCells carries probability G(a)-G(b), evaluated at
-// the cell midpoint. The series over periods stops when the residual
-// tail mass drops below 1e-12.
-func ExpectDelayed(m Model, p DelayedParams, g func(l float64) float64) float64 {
-	return expectDelayed(m, p, delayedExpectCells, g)
+// NParallelExpected returns E[N‖(J)]: the average number of parallel
+// copies the delayed strategy keeps in the system, to be compared with
+// b for the multiple-submission strategy.
+func NParallelExpected(m Model, p DelayedParams) float64 {
+	return nParallelExpectedCells(m, p, delayedExpectCells)
 }
 
-// expectDelayed is ExpectDelayed with `cells` cells per T0-period.
+// nParallelExpectedCells is NParallelExpected with `cells` cells per
+// T0-period, by exact-mass Stieltjes summation over the survival
+// function: each cell of width h = T0/cells carries probability
+// G(a)-G(b) and is weighted by N‖ at its midpoint. The series over
+// periods stops when the residual tail mass drops below 1e-12.
 //
-// Every period puts its cell edges at the same offsets u = i·T0/cells,
-// and within period j >= 1 the survival is q^(j-1)·(1-F̃(u+T0))·(1-F̃(u))
+// Every period puts its cell edges at the same offsets u = i·h, and
+// within period j >= 1 the survival is q^(j-1)·(1-F̃(u+T0))·(1-F̃(u))
 // while both copies race (u < t∞-t0) and q^j·(1-F̃(u)) after, so the
 // two factors are tabulated once per call and each period costs two
 // powers of q plus O(cells) table lookups: F̃ is evaluated at most
-// 2·cells+1 times however many periods the series runs.
-func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float64) float64 {
+// 2·cells+1 times however many periods the series runs. Every cell
+// midpoint l of period j >= 1 has floor(l/T0) = j — its margin h/2
+// dwarfs the ~j·ε·T0 rounding of l — so N‖'s period count, its I0/I1
+// split point and the heads of both of NParallelGivenLatency's
+// formulas are fixed per period; the cell loop finishes the formulas
+// in their association order, and period 0 weighs every cell by 1.
+func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
 	if err := p.Validate(); err != nil {
 		return math.NaN()
 	}
@@ -336,8 +472,9 @@ func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float6
 	if q >= 1 {
 		return math.NaN()
 	}
-	h := p.T0 / float64(cells)
-	w := p.TInf - p.T0
+	t0, tInf := p.T0, p.TInf
+	h := t0 / float64(cells)
+	w := tInf - t0
 	tables := make([]float64, 2*(cells+1))
 	one := tables[:cells+1]  // one[i] = 1-F̃(i·h)
 	both := tables[cells+1:] // both[i] = 1-F̃(i·h+T0), for i <= racing
@@ -346,17 +483,21 @@ func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float6
 		u := float64(i) * h
 		one[i] = 1 - m.Ftilde(u)
 		if u < w {
-			both[i] = 1 - m.Ftilde(u+p.T0)
+			both[i] = 1 - m.Ftilde(u+t0)
 			racing = i
 		}
 	}
 	sum := 0.0
 	prevG := 1.0
 	for j := 0; ; j++ {
-		base := float64(j) * p.T0
-		var qPrev, qCur float64
+		base := float64(j) * t0
+		var qPrev, qCur, fn, split, head0, head1 float64
 		if j > 0 {
 			qPrev, qCur = powFloorExp(q, float64(j-1)), powFloorExp(q, float64(j))
+			fn = float64(j)
+			split = (fn-1)*t0 + tInf // I0 below, I1 from here
+			head0 = t0 + (fn-1)*tInf
+			head1 = head0 + 2*(tInf-t0)
 		}
 		for i := 1; i <= cells; i++ {
 			var gt float64
@@ -370,7 +511,14 @@ func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float6
 			}
 			t := base + float64(i)*h
 			if mass := prevG - gt; mass > 0 {
-				sum += mass * g(t-h/2)
+				switch l := t - h/2; {
+				case j == 0:
+					sum += mass
+				case l < split:
+					sum += mass * ((head0 + 2*(l-fn*t0)) / l)
+				default:
+					sum += mass * ((head1 + (l - (fn-1)*t0 - tInf)) / l)
+				}
 			}
 			prevG = gt
 		}
@@ -381,21 +529,6 @@ func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float6
 		}
 	}
 	return sum
-}
-
-// NParallelExpected returns E[N‖(J)]: the average number of parallel
-// copies the delayed strategy keeps in the system, to be compared with
-// b for the multiple-submission strategy.
-func NParallelExpected(m Model, p DelayedParams) float64 {
-	return nParallelExpectedCells(m, p, delayedExpectCells)
-}
-
-// nParallelExpectedCells is NParallelExpected with `cells` cells per
-// T0-period (see expectDelayed).
-func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
-	return expectDelayed(m, p, cells, func(l float64) float64 {
-		return NParallelGivenLatency(l, p)
-	})
 }
 
 // DelayedEvaluate bundles the exact EJ, σJ and E[N‖] of the delayed
@@ -528,7 +661,7 @@ func OptimizeDelayed(ctx context.Context, m Model, workers int) (DelayedParams, 
 	}
 	// Row-sweep mode: one kernel sweep per grid row (fixed t0).
 	frow := func(t0 float64, ratios []float64) []float64 {
-		return ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1)
+		return ejDelayedRatioGrid(ctx, k, ratios, []float64{t0}, 1, false)
 	}
 	r := optimize.MinimizeRobust2D(obj, frow, ub*1e-3, ub/2, 1.0005, 2.0, workers)
 	if err := ctx.Err(); err != nil {
@@ -559,8 +692,13 @@ const (
 // ratio's search has three steps:
 //
 //   - Round 0, shared: a 401-point t0 grid on [ub·1e-3, ub/2], the
-//     same for every ratio, so each t0 answers all ratios from one
-//     merged cross-term walk.
+//     same for every ratio. Only each ratio's incumbent is used, so a
+//     model with its own kernels first brackets every cell's EJ from
+//     O(1) pow-integral lookups (round0Bounds) and walks only the t0
+//     rows that can hold some ratio's incumbent, each answering all
+//     ratios from one merged cross-term walk; the other cells read
+//     +Inf. The incumbents are the full grid's. Any other model walks
+//     every row.
 //   - Round 1, per ratio: 401 points in [x-h, x+h] around the round-0
 //     incumbent x (h its grid step), ties going to the smaller t0. A
 //     model with the one-pass ratio-grid kernel (RatioGridIntegrals)
@@ -594,7 +732,7 @@ func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, worke
 	for i := range t0s {
 		t0s[i] = a + float64(i)*h0
 	}
-	vals := ejDelayedRatioGrid(ctx, k, ratios, t0s, workers)
+	vals := ejDelayedRatioGrid(ctx, k, ratios, t0s, workers, true)
 	ps := make([]DelayedParams, len(ratios))
 	evs := make([]Evaluation, len(ratios))
 	optimize.ParallelFor(len(ratios), optimize.Workers(workers), func(j int) {

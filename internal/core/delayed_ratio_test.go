@@ -99,14 +99,9 @@ func TestDelayedRatioGridMatchesPerRatioBatch(t *testing.T) {
 	cells := 0
 	for name, m := range models {
 		k := kernelsOf(m)
-		ub := m.UpperBound()
-		h := (ub/2 - ub*1e-3) / ratioScanN
-		t0s := make([]float64, ratioScanN+1)
-		for i := range t0s {
-			t0s[i] = ub*1e-3 + float64(i)*h
-		}
+		t0s := round0Grid(m)
 		for _, ratios := range [][]float64{oracleRatios, descending} {
-			vals := ejDelayedRatioGrid(context.Background(), k, ratios, t0s, 2)
+			vals := ejDelayedRatioGrid(context.Background(), k, ratios, t0s, 2, false)
 			for j, r := range ratios {
 				qs := make([]float64, 2*len(t0s))
 				copy(qs, t0s)
@@ -206,10 +201,11 @@ func TestOptimizeDelayedRatiosErrors(t *testing.T) {
 	}
 }
 
-// optimizeDelayedRatiosAllWalk is OptimizeDelayedRatios with round 1
-// answered by ejDelayedRatioBatch, one scalar cross-term walk per
-// point: the search as it ran before the one-pass ratio-grid kernel,
-// and the oracle the kernel path must reproduce bit for bit.
+// optimizeDelayedRatiosAllWalk is OptimizeDelayedRatios with round 0
+// walking the full grid and round 1 answered by ejDelayedRatioBatch,
+// one scalar cross-term walk per point: the search as it ran before
+// round-0 pruning and the one-pass ratio-grid kernel, and the oracle
+// the kernel path must reproduce bit for bit.
 func optimizeDelayedRatiosAllWalk(m Model, ratios []float64) ([]DelayedParams, []Evaluation) {
 	ub := m.UpperBound()
 	k := kernelsOf(m)
@@ -219,7 +215,7 @@ func optimizeDelayedRatiosAllWalk(m Model, ratios []float64) ([]DelayedParams, [
 	for i := range t0s {
 		t0s[i] = a + float64(i)*h0
 	}
-	vals := ejDelayedRatioGrid(context.Background(), k, ratios, t0s, 1)
+	vals := ejDelayedRatioGrid(context.Background(), k, ratios, t0s, 1, false)
 	ps := make([]DelayedParams, len(ratios))
 	evs := make([]Evaluation, len(ratios))
 	for j, ratio := range ratios {
@@ -312,20 +308,25 @@ func ratioGridModels(t *testing.T) map[string]Model {
 	return models
 }
 
-// TestOptimizeDelayedRatiosMatchesAllWalk pins the tentpole claim of
-// the one-pass round 1: with the kernel's cross terms and the exact
-// confirmation, OptimizeDelayedRatios returns the parameters and
-// evaluations of the all-walk search bit for bit.
+// TestOptimizeDelayedRatiosMatchesAllWalk pins the claims of the
+// pruned round 0 and the one-pass round 1: with round 0 walking only
+// the rows its bounds cannot rule out, and round 1 the kernel's cross
+// terms and the exact confirmation, OptimizeDelayedRatios returns the
+// parameters and evaluations of the full-grid, all-walk search bit for
+// bit at workers 1, 2 and 8.
 func TestOptimizeDelayedRatiosMatchesAllWalk(t *testing.T) {
 	for name, m := range ratioGridModels(t) {
-		ps, evs, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
 		wps, wevs := optimizeDelayedRatiosAllWalk(m, oracleRatios)
-		for j, ratio := range oracleRatios {
-			if ps[j] != wps[j] || evs[j] != wevs[j] {
-				t.Errorf("%s ratio %v: (%+v, %+v), all-walk (%+v, %+v)", name, ratio, ps[j], evs[j], wps[j], wevs[j])
+		for _, workers := range []int{1, 2, 8} {
+			ps, evs, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j, ratio := range oracleRatios {
+				if ps[j] != wps[j] || evs[j] != wevs[j] {
+					t.Errorf("%s workers %d ratio %v: (%+v, %+v), all-walk (%+v, %+v)",
+						name, workers, ratio, ps[j], evs[j], wps[j], wevs[j])
+				}
 			}
 		}
 	}
@@ -354,7 +355,7 @@ func TestRatioGridKernelAccuracy(t *testing.T) {
 		for i := range t0s {
 			t0s[i] = a + float64(i)*h0
 		}
-		vals := ejDelayedRatioGrid(context.Background(), k, oracleRatios, t0s, 1)
+		vals := ejDelayedRatioGrid(context.Background(), k, oracleRatios, t0s, 1, true)
 		for j, ratio := range oracleRatios {
 			x, f := a, math.Inf(1)
 			for i, v := range vals[j*len(t0s) : (j+1)*len(t0s)] {

@@ -97,7 +97,7 @@ func TestEJDelayedClosedFormMatchesStieltjes(t *testing.T) {
 			{T0: 500, TInf: 990},
 		} {
 			closed := EJDelayed(m, p)
-			stieltjes := ExpectDelayed(m, p, func(l float64) float64 { return l })
+			stieltjes := expectDelayed(m, p, delayedExpectCells, func(l float64) float64 { return l })
 			if math.Abs(closed-stieltjes) > 0.002*closed {
 				t.Errorf("EJ routes disagree at %+v: closed %v vs stieltjes %v", p, closed, stieltjes)
 			}
@@ -260,7 +260,7 @@ func TestDelayedDegenerateInputs(t *testing.T) {
 	if !math.IsInf(EJDelayed(m, DelayedParams{T0: 100, TInf: 90}), 1) {
 		t.Fatal("invalid params should give +Inf")
 	}
-	if !math.IsNaN(ExpectDelayed(m, DelayedParams{T0: -1, TInf: 2}, func(float64) float64 { return 1 })) {
+	if !math.IsNaN(expectDelayed(m, DelayedParams{T0: -1, TInf: 2}, delayedExpectCells, func(float64) float64 { return 1 })) {
 		t.Fatal("invalid params should give NaN expectation")
 	}
 	if _, err := DelayedEvaluate(m, DelayedParams{T0: 0, TInf: 1}); err == nil {
@@ -309,7 +309,7 @@ func TestExpectDelayedTotalMass(t *testing.T) {
 	// E[1] must be 1: the strategy terminates almost surely.
 	m := testEmpirical(t)
 	p := DelayedParams{T0: 300, TInf: 450}
-	got := ExpectDelayed(m, p, func(float64) float64 { return 1 })
+	got := expectDelayed(m, p, delayedExpectCells, func(float64) float64 { return 1 })
 	if math.Abs(got-1) > 1e-9 {
 		t.Fatalf("total mass %v", got)
 	}

@@ -7,6 +7,66 @@ import (
 	"gridstrat/internal/trace"
 )
 
+// expectDelayed returns E[g(J)] for the delayed strategy with `cells`
+// cells per T0-period: the exact-mass Stieltjes sum of
+// nParallelExpectedCells for any g, with the same tabulated survival
+// factors, calling g at each cell midpoint. It is the oracle the
+// hoisted production loop must equal bit for bit at
+// g = NParallelGivenLatency, and the Stieltjes route the tests compare
+// the closed-form EJ with.
+func expectDelayed(m Model, p DelayedParams, cells int, g func(l float64) float64) float64 {
+	if err := p.Validate(); err != nil {
+		return math.NaN()
+	}
+	q := 1 - m.Ftilde(p.TInf)
+	if q >= 1 {
+		return math.NaN()
+	}
+	h := p.T0 / float64(cells)
+	w := p.TInf - p.T0
+	tables := make([]float64, 2*(cells+1))
+	one := tables[:cells+1]  // one[i] = 1-F̃(i·h)
+	both := tables[cells+1:] // both[i] = 1-F̃(i·h+T0), for i <= racing
+	racing := 0              // cells 1..racing have i·h < w: both copies race
+	for i := 1; i <= cells; i++ {
+		u := float64(i) * h
+		one[i] = 1 - m.Ftilde(u)
+		if u < w {
+			both[i] = 1 - m.Ftilde(u+p.T0)
+			racing = i
+		}
+	}
+	sum := 0.0
+	prevG := 1.0
+	for j := 0; ; j++ {
+		base := float64(j) * p.T0
+		var qPrev, qCur float64
+		if j > 0 {
+			qPrev, qCur = powFloorExp(q, float64(j-1)), powFloorExp(q, float64(j))
+		}
+		for i := 1; i <= cells; i++ {
+			var gt float64
+			switch {
+			case j == 0:
+				gt = one[i]
+			case i <= racing:
+				gt = qPrev * both[i] * one[i]
+			default:
+				gt = qCur * one[i]
+			}
+			t := base + float64(i)*h
+			if mass := prevG - gt; mass > 0 {
+				sum += mass * g(t-h/2)
+			}
+			prevG = gt
+		}
+		if prevG < 1e-12 || j > 10000 {
+			break
+		}
+	}
+	return sum
+}
+
 // expectDelayedPerCell is the reference E[g(J)] summation: the same
 // exact-mass Stieltjes sum as expectDelayed, but with the survival
 // function evaluated anew at every cell edge of every period
@@ -55,12 +115,17 @@ func expectDelayedPerCell(m Model, p DelayedParams, cells int, g func(l float64)
 // oracleRatios is the t∞/t0 grid the Planner's Recommend sweeps.
 var oracleRatios = []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}
 
-// compareToOracle checks expectDelayed's E[N‖] against the per-cell
-// oracle at p and reports whether the two are bit-identical.
+// compareToOracle checks the production E[N‖] loop against the
+// tabulated oracle expectDelayed at g = NParallelGivenLatency (bit for
+// bit) and the oracle against the per-cell oracle (within 1e-12
+// relative), and reports whether the last two are bit-identical.
 func compareToOracle(t *testing.T, name string, m Model, p DelayedParams, cells int) (identical bool) {
 	t.Helper()
 	g := func(l float64) float64 { return NParallelGivenLatency(l, p) }
 	got := expectDelayed(m, p, cells, g)
+	if prod := nParallelExpectedCells(m, p, cells); math.Float64bits(prod) != math.Float64bits(got) {
+		t.Errorf("%s t0=%v t∞=%v cells=%d: production E[N‖] = %v, oracle %v", name, p.T0, p.TInf, cells, prod, got)
+	}
 	want := expectDelayedPerCell(m, p, cells, g)
 	if got == want {
 		return true
@@ -76,7 +141,8 @@ func compareToOracle(t *testing.T, name string, m Model, p DelayedParams, cells 
 }
 
 // TestExpectDelayedMatchesPerCellOracle pins the tabulated E[N‖]
-// summation to the per-cell oracle on every paper dataset across the
+// summation to the per-cell oracle, and the production loop to the
+// tabulated one bit for bit, on every paper dataset across the
 // Recommend ratio grid and the (0, ub/2] t0 bracket, at the final
 // (1024) and scan (96) resolutions, plus a parametric model and a q
 // close to 1 that runs thousands of periods.

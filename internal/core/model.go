@@ -79,7 +79,8 @@ type Model interface {
 // never changes an optimizer's answer.
 type BatchIntegrals interface {
 	// IntOneMinusFPowBatch returns ∫₀ᵀ (1-F̃R(u))^b du for every T in Ts
-	// (ascending for the swept path).
+	// (ascending for the swept path), in a slice that does not share
+	// Ts' memory: the delayed ratio search reuses Ts once it returns.
 	IntOneMinusFPowBatch(Ts []float64, b int) []float64
 	// IntProdBothBatch returns both delayed cross terms for every T in
 	// Ts at a single shared shift — one merged walk for a whole grid

@@ -151,7 +151,7 @@ func TestPropertyDelayedClosedFormVsStieltjes(t *testing.T) {
 		if math.IsInf(closed, 1) {
 			return true // no success mass; Stieltjes would diverge too
 		}
-		stieltjes := ExpectDelayed(m, p, func(l float64) float64 { return l })
+		stieltjes := expectDelayed(m, p, delayedExpectCells, func(l float64) float64 { return l })
 		return math.Abs(closed-stieltjes) < 5e-3*math.Max(1, closed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {

@@ -168,7 +168,10 @@ func TestAdmissionRejectsBadHeaders(t *testing.T) {
 
 // TestDeadlineHeaderAborts504: a deadline far under the work's cost
 // turns into a context deadline, and the abandoned computation
-// answers 504 deadline_exceeded.
+// answers 504 deadline_exceeded. At t∞ = 125 s only ~1.25% of 2006-IX
+// submissions start in time, so each of the 2M runs resubmits ~80
+// times: ~1.2 s of work on a 2-core Xeon, 60 times the 20 ms deadline
+// (at t∞ = 900 s the same runs could finish inside it).
 func TestDeadlineHeaderAborts504(t *testing.T) {
 	_, hs, c := newTestServerCfg(t, Config{})
 	ctx := context.Background()
@@ -177,7 +180,7 @@ func TestDeadlineHeaderAborts504(t *testing.T) {
 	}
 
 	body, _ := json.Marshal(SimulateRequest{
-		Strategy: StrategySpec{Strategy: "single", TInfS: 900},
+		Strategy: StrategySpec{Strategy: "single", TInfS: 125},
 		Runs:     2_000_000,
 	})
 	req, err := http.NewRequest(http.MethodPost, hs.URL+"/v1/models/m/simulate",

@@ -405,8 +405,9 @@ func (e *ECDF) IntegralUOneMinusFPow(T, s float64, b int) float64 {
 
 // IntegralOneMinusFPowBatch answers ∫₀ᵀ (1-s·F)^b for every T in Ts.
 // An ascending Ts (the optimizer grids) is answered with one monotone
-// cursor sweep — O(n + G) total; out-of-order entries fall back to a
-// fresh binary search per entry. Results are bit-identical to the
+// cursor sweep — O(n + G) total; an out-of-order entry is binary
+// searched and the sweep resumes from it, so a batch of several
+// ascending columns costs one search per column. Results are bit-identical to the
 // scalar method at every entry.
 func (e *ECDF) IntegralOneMinusFPowBatch(Ts []float64, s float64, b int) []float64 {
 	return e.powBatch(Ts, s, b, false)
@@ -428,7 +429,7 @@ func (e *ECDF) powBatch(Ts []float64, s float64, b int, uweighted bool) []float6
 	}
 	k := e.powKernelFor(s, b)
 	j := 0
-	cursorT := math.Inf(-1) // largest T the cursor was positioned for
+	cursorT := math.Inf(-1) // the T the cursor was last positioned for
 	for i, T := range Ts {
 		if T <= 0 {
 			continue
@@ -442,13 +443,16 @@ func (e *ECDF) powBatch(Ts []float64, s float64, b int, uweighted bool) []float6
 			continue
 		}
 		if T < cursorT {
-			j = sort.SearchFloat64s(e.xs, T) // out-of-order entry
+			// Out-of-order entry: search, and re-anchor the cursor
+			// there so an ascending run that follows (the next column
+			// of a multi-column batch) sweeps on from it.
+			j = sort.SearchFloat64s(e.xs, T)
 		} else {
 			for j < len(e.xs) && e.xs[j] < T {
 				j++
 			}
-			cursorT = T
 		}
+		cursorT = T
 		if uweighted {
 			out[i] = k.integralUAt(e.xs, j, T)
 		} else {

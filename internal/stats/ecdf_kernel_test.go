@@ -156,6 +156,40 @@ func TestBatchMatchesScalarBitwise(t *testing.T) {
 	}
 }
 
+// TestBatchColumnsMatchScalar: the delayed ratio search batches a t0
+// column followed by one ascending w = (r-1)·t0 column per ratio, so
+// each column starts below where the last one ended. The sweep
+// re-anchors at each such entry and must still equal the scalar
+// method at every entry.
+func TestBatchColumnsMatchScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 40; trial++ {
+		e := randomECDF(rng)
+		s := 1 - rng.Float64()*0.4
+		n := 1 + rng.Intn(50)
+		lo, hi := e.Max()*1e-3, e.Max()*(0.5+rng.Float64())
+		var Ts []float64
+		for _, r := range []float64{2, 1.1, 1.5, 1.9, 1.3} { // r = 2: the t0 column
+			for i := 0; i < n; i++ {
+				t0 := lo + (hi-lo)*float64(i)/float64(n)
+				Ts = append(Ts, r*t0-t0)
+			}
+		}
+		for _, b := range []int{1, 3} {
+			batch := e.IntegralOneMinusFPowBatch(Ts, s, b)
+			batchU := e.IntegralUOneMinusFPowBatch(Ts, s, b)
+			for i, T := range Ts {
+				if want := e.IntegralOneMinusFPow(T, s, b); batch[i] != want {
+					t.Fatalf("pow batch[%d]: T=%v b=%d got %v want %v", i, T, b, batch[i], want)
+				}
+				if want := e.IntegralUOneMinusFPow(T, s, b); batchU[i] != want {
+					t.Fatalf("upow batch[%d]: T=%v b=%d got %v want %v", i, T, b, batchU[i], want)
+				}
+			}
+		}
+	}
+}
+
 // TestRandMatchesQuantileStream pins the sampler acceptance criterion:
 // the O(1) table-guided Rand must map every uniform to exactly the
 // same support point as the historical Quantile(rng.Float64()) path,

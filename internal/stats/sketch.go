@@ -262,9 +262,6 @@ func (s *Sketch) MergeSortedEvict(add, evict []float64) (*Sketch, error) {
 	return out, nil
 }
 
-// K returns the per-level compactor capacity.
-func (s *Sketch) K() int { return s.k }
-
 // Levels returns the number of compactor levels.
 func (s *Sketch) Levels() int { return len(s.levels) }
 

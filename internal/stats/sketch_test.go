@@ -130,8 +130,8 @@ func TestSketchDefaultKBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.K() != DefaultSketchK {
-		t.Fatalf("K() = %d, want %d", s.K(), DefaultSketchK)
+	if s.k != DefaultSketchK {
+		t.Fatalf("k = %d, want %d", s.k, DefaultSketchK)
 	}
 	if eps := s.ErrorBound(); eps >= 0.03 {
 		t.Fatalf("error bound %v >= 0.03 at default k", eps)
