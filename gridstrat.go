@@ -159,7 +159,8 @@ type Distribution = stats.Distribution
 func ModelFromTrace(t *Trace) (*EmpiricalModel, error) { return core.ModelFromTrace(t) }
 
 // NewEmpiricalModelFromLatencies builds a model from raw non-outlier
-// latencies plus an outlier ratio and timeout.
+// latencies plus an outlier ratio and timeout. It returns an error for
+// an empty sample or a NaN or negative latency.
 func NewEmpiricalModelFromLatencies(latencies []float64, rho, timeout float64) (*EmpiricalModel, error) {
 	e, err := stats.NewECDF(latencies)
 	if err != nil {

@@ -127,6 +127,9 @@ func TestPublicModelsFromLatenciesAndDistributions(t *testing.T) {
 	if _, err := NewEmpiricalModelFromLatencies(nil, 0.1, 1000); err == nil {
 		t.Fatal("empty latencies should fail")
 	}
+	if _, err := NewEmpiricalModelFromLatencies([]float64{-1, 5, 9}, 0.1, 1000); err == nil {
+		t.Fatal("negative latencies should fail")
+	}
 }
 
 func TestPublicSimulators(t *testing.T) {

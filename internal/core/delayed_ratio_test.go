@@ -296,11 +296,8 @@ func ratioGridModels(t *testing.T) map[string]Model {
 		models[name] = m
 	}
 	first := pm[trace.PaperDatasets[0].Name]
-	sk, err := stats.SketchFromECDF(first.ECDF(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := NewEmpiricalModelDist(sk, first.Rho(), first.UpperBound())
+	sk := stats.SketchFromECDF(first.ECDF(), 64)
+	sm, err := NewEmpiricalModel(sk.View(), first.Rho(), first.UpperBound())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -172,18 +172,14 @@ func (p pointwise) IntProdBothOneMinusF(T, shift float64) (plain, uweighted floa
 
 // --- Empirical model ---
 
-// EmpiricalModel is the trace-driven Model: FR is an empirical law of
-// completed-probe latencies and every integral is evaluated on its
-// step function. The law is any stats.EmpiricalDistribution — the
-// exact counted ECDF or the mergeable quantile Sketch — so the model,
-// the Planner above it, and every strategy formula are
-// representation-agnostic: swapping the backend (the serving layer's
-// exact ⇄ sketch tier moves) changes nothing at any call site. With
-// the ECDF backend every integral is exact; with the Sketch backend it
-// is exact over the sketched step function, within the sketch's rank
-// error bound of the true one.
+// EmpiricalModel is the trace-driven Model: FR is the ECDF of
+// completed-probe latencies and every integral is evaluated exactly on
+// its step function. A sketch-tier model (the serving layer's demoted
+// representation) is the same model over the sketch's compiled ECDF,
+// whose integrals are exact over the sketched step function, within
+// the sketch's rank error bound of the true one.
 type EmpiricalModel struct {
-	dist    stats.EmpiricalDistribution
+	ecdf    *stats.ECDF
 	rho     float64
 	timeout float64
 }
@@ -194,23 +190,13 @@ func NewEmpiricalModel(ecdf *stats.ECDF, rho, timeout float64) (*EmpiricalModel,
 	if ecdf == nil {
 		return nil, errors.New("core: nil ECDF")
 	}
-	return NewEmpiricalModelDist(ecdf, rho, timeout)
-}
-
-// NewEmpiricalModelDist wraps any empirical latency law — exact ECDF
-// or quantile Sketch — with an outlier ratio and censoring bound; the
-// representation-agnostic constructor the tiered serving layer uses.
-func NewEmpiricalModelDist(dist stats.EmpiricalDistribution, rho, timeout float64) (*EmpiricalModel, error) {
-	if dist == nil {
-		return nil, errors.New("core: nil distribution")
-	}
 	if rho < 0 || rho >= 1 || math.IsNaN(rho) {
 		return nil, fmt.Errorf("core: outlier ratio %v outside [0, 1)", rho)
 	}
 	if timeout <= 0 {
 		return nil, fmt.Errorf("core: non-positive timeout %v", timeout)
 	}
-	return &EmpiricalModel{dist: dist, rho: rho, timeout: timeout}, nil
+	return &EmpiricalModel{ecdf: ecdf, rho: rho, timeout: timeout}, nil
 }
 
 // ModelFromTrace builds the empirical latency model of a probe trace.
@@ -222,100 +208,84 @@ func ModelFromTrace(t *trace.Trace) (*EmpiricalModel, error) {
 	return NewEmpiricalModel(e, t.OutlierRatio(), t.Timeout)
 }
 
-// Distribution exposes the underlying empirical latency law, whatever
-// its representation (read-only use).
-func (m *EmpiricalModel) Distribution() stats.EmpiricalDistribution { return m.dist }
+// ECDF exposes the underlying empirical CDF (read-only use): for a
+// sketch-tier model, the sketch's compiled view.
+func (m *EmpiricalModel) ECDF() *stats.ECDF { return m.ecdf }
 
-// ECDF exposes the underlying empirical CDF as a step-function ECDF
-// (read-only use). For an exact-backed model this is the ECDF itself;
-// for a sketch-backed model it is the sketch's compiled counted-ECDF
-// view, so bootstrap resampling and plotting code keep working across
-// tiers.
-func (m *EmpiricalModel) ECDF() *stats.ECDF {
-	switch d := m.dist.(type) {
-	case *stats.ECDF:
-		return d
-	case *stats.Sketch:
-		return d.View()
-	default:
-		return nil
-	}
-}
-
-func (m *EmpiricalModel) Ftilde(t float64) float64 { return (1 - m.rho) * m.dist.Eval(t) }
+func (m *EmpiricalModel) Ftilde(t float64) float64 { return (1 - m.rho) * m.ecdf.Eval(t) }
 func (m *EmpiricalModel) Rho() float64             { return m.rho }
 func (m *EmpiricalModel) UpperBound() float64      { return m.timeout }
 
 func (m *EmpiricalModel) IntOneMinusFPow(T float64, b int) float64 {
-	return m.dist.IntegralOneMinusFPow(T, 1-m.rho, b)
+	return m.ecdf.IntegralOneMinusFPow(T, 1-m.rho, b)
 }
 
 func (m *EmpiricalModel) IntUOneMinusFPow(T float64, b int) float64 {
-	return m.dist.IntegralUOneMinusFPow(T, 1-m.rho, b)
+	return m.ecdf.IntegralUOneMinusFPow(T, 1-m.rho, b)
 }
 
 func (m *EmpiricalModel) IntProdOneMinusF(T, shift float64) float64 {
-	return m.dist.IntegralProdOneMinusF(T, shift, 1-m.rho)
+	return m.ecdf.IntegralProdOneMinusF(T, shift, 1-m.rho)
 }
 
 func (m *EmpiricalModel) IntUProdOneMinusF(T, shift float64) float64 {
-	return m.dist.IntegralUProdOneMinusF(T, shift, 1-m.rho)
+	return m.ecdf.IntegralUProdOneMinusF(T, shift, 1-m.rho)
 }
 
-// IntOneMinusFPowBatch implements BatchIntegrals over the law's
+// IntOneMinusFPowBatch implements BatchIntegrals over the ECDF's
 // prefix-sum kernel.
 func (m *EmpiricalModel) IntOneMinusFPowBatch(Ts []float64, b int) []float64 {
-	return m.dist.IntegralOneMinusFPowBatch(Ts, 1-m.rho, b)
+	return m.ecdf.IntegralOneMinusFPowBatch(Ts, 1-m.rho, b)
 }
 
 // IntUOneMinusFPowBatch is the u-weighted companion of
 // IntOneMinusFPowBatch over the same prefix-sum kernel (no optimizer
 // consumes it, so it is not part of BatchIntegrals).
 func (m *EmpiricalModel) IntUOneMinusFPowBatch(Ts []float64, b int) []float64 {
-	return m.dist.IntegralUOneMinusFPowBatch(Ts, 1-m.rho, b)
+	return m.ecdf.IntegralUOneMinusFPowBatch(Ts, 1-m.rho, b)
 }
 
 // IntProdBothBatch implements BatchIntegrals: one merged walk answers
 // both cross terms for a whole sorted grid sharing one shift.
 func (m *EmpiricalModel) IntProdBothBatch(Ts []float64, shift float64) (plain, uweighted []float64) {
-	return m.dist.IntegralProdBothBatch(Ts, shift, 1-m.rho)
+	return m.ecdf.IntegralProdBothBatch(Ts, shift, 1-m.rho)
 }
 
 // IntProdBothOneMinusF implements ProdBothIntegrals: both cross terms
 // from one walk.
 func (m *EmpiricalModel) IntProdBothOneMinusF(T, shift float64) (plain, uweighted float64) {
-	return m.dist.IntegralProdBoth(T, shift, 1-m.rho)
+	return m.ecdf.IntegralProdBoth(T, shift, 1-m.rho)
 }
 
-// IntProdRatioGrid implements RatioGridIntegrals over the law's
+// IntProdRatioGrid implements RatioGridIntegrals over the ECDF's
 // one-pass ratio-grid kernel.
 func (m *EmpiricalModel) IntProdRatioGrid(ratio, lo, h float64, out []float64) {
-	m.dist.IntegralProdRatioGrid(ratio, lo, h, 1-m.rho, out)
+	m.ecdf.IntegralProdRatioGrid(ratio, lo, h, 1-m.rho, out)
 }
 
 func (m *EmpiricalModel) Sample(rng *rand.Rand) float64 {
 	if rng.Float64() < m.rho {
 		return Inf
 	}
-	return m.dist.Rand(rng)
+	return m.ecdf.Rand(rng)
 }
 
-// MemBytes estimates the resident heap footprint of the model's
-// latency law — the registry's byte accounting reads it.
-func (m *EmpiricalModel) MemBytes() int64 { return m.dist.MemBytes() }
+// MemBytes estimates the resident heap footprint of the model's ECDF —
+// the registry's byte accounting reads it.
+func (m *EmpiricalModel) MemBytes() int64 { return m.ecdf.MemBytes() }
 
-// TableKeys returns the (s, b) prefix-sum kernel keys this model's law
-// has built — the warm-cache manifest of an outgoing model epoch.
+// TableKeys returns the (s, b) prefix-sum kernel keys this model's
+// ECDF has built — the warm-cache manifest of an outgoing model epoch.
 // Handing it to the successor's Prewarm reproduces the old epoch's hot
 // tables ahead of an atomic model swap.
-func (m *EmpiricalModel) TableKeys() []stats.TableKey { return m.dist.TableKeys() }
+func (m *EmpiricalModel) TableKeys() []stats.TableKey { return m.ecdf.TableKeys() }
 
-// Prewarm eagerly builds the law's kernels for the given keys, so the
+// Prewarm eagerly builds the ECDF's kernels for the given keys, so the
 // first queries on a freshly swapped-in model cost a binary search
 // instead of an O(n) table build. Safe for concurrent use. The
-// bootstrap-sampler table warms separately (PrewarmSampler on the law)
-// and only when the predecessor actually sampled.
-func (m *EmpiricalModel) Prewarm(keys []stats.TableKey) { m.dist.Prewarm(keys) }
+// bootstrap-sampler table warms separately (PrewarmSampler on the
+// ECDF) and only when the predecessor actually sampled.
+func (m *EmpiricalModel) Prewarm(keys []stats.TableKey) { m.ecdf.Prewarm(keys) }
 
 // --- Parametric model ---
 

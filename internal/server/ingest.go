@@ -137,13 +137,9 @@ func newEntry(id, source string, window float64, tr *trace.Trace, rebuildEvery t
 		return nil, err
 	}
 	if sketchTier {
-		sk, err := stats.SketchFromECDF(state.ecdf, 0)
-		if err != nil {
-			return nil, err
-		}
 		base := state.ecdf
 		_, outliers := countStatuses(tw.Records)
-		state, err = newModelStateSketch(tw, sk, base, len(tw.Records), outliers, 1)
+		state, err = newModelStateSketch(tw, stats.SketchFromECDF(base, 0), base, len(tw.Records), outliers, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -211,10 +207,7 @@ func newEntryFromSnapshot(id string, snap *wal.EntrySnapshot, replayed int, log 
 	sketchTier := forceSketch || deepSketch
 	var state *ModelState
 	if sketchTier {
-		sk, err := stats.SketchFromECDF(ecdf, 0)
-		if err != nil {
-			return nil, err
-		}
+		sk := stats.SketchFromECDF(ecdf, 0)
 		str, base := tw, ecdf
 		if deepSketch {
 			str = &trace.Trace{Name: snap.Name, Timeout: snap.Timeout}
@@ -697,7 +690,7 @@ func (e *Entry) rebuildLocked(recs []trace.ProbeRecord, batches int) (*ModelStat
 		err  error
 	)
 	switch {
-	case e.fullRebuild || old.ecdf == nil || !old.ecdf.Counted():
+	case e.fullRebuild || old.ecdf == nil:
 		ecdf, err = e.rolling.Snapshot().ECDF()
 	default:
 		ecdf, err = old.ecdf.MergeSortedEvict(completedLatencies(recs), completedLatencies(evicted))
@@ -728,12 +721,8 @@ func (e *Entry) rebuildLocked(recs []trace.ProbeRecord, batches int) (*ModelStat
 	}
 	var state *ModelState
 	if e.wantSketch {
-		var sk *stats.Sketch
-		sk, err = stats.SketchFromECDF(ecdf, 0)
-		if err == nil {
-			tw := e.rolling.Snapshot()
-			state, err = newModelStateSketch(tw, sk, ecdf, len(tw.Records), e.winOutliers, old.Version+1)
-		}
+		tw := e.rolling.Snapshot()
+		state, err = newModelStateSketch(tw, stats.SketchFromECDF(ecdf, 0), ecdf, len(tw.Records), e.winOutliers, old.Version+1)
 	} else {
 		state, err = newModelStateMerged(e.rolling.Snapshot(), ecdf, e.winOutliers, old.Version+1)
 	}

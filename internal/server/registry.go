@@ -84,14 +84,15 @@ type ModelState struct {
 	// Trace carries only the name/timeout header there.
 	Tier ModelTier
 
-	// ecdf is the counted empirical CDF underlying an exact-tier Model
+	// ecdf is the empirical CDF underlying an exact-tier Model
 	// — the merge base of the next epoch's incremental rebuild and the
 	// source of the TableKeys handed to its Prewarm. Sketch-tier states
 	// built by a rebuild keep it (kernel-less) as the merge base;
 	// deep-demoted ones drop it.
 	ecdf *stats.ECDF
 
-	// sketch is the quantile-sketch backend of a sketch-tier Model.
+	// sketch is the quantile sketch of a sketch-tier state; its View is
+	// the ECDF the Model reads.
 	sketch *stats.Sketch
 
 	// planner is the snapshot's shared default-options Planner — the
@@ -192,16 +193,20 @@ func newModelStateMerged(tr *trace.Trace, ecdf *stats.ECDF, outliers int, versio
 // newModelStateSketch builds a sketch-tier snapshot: the model queries
 // the sketch's compiled view, the stats derive from that view, and
 // base (when non-nil) rides along kernel-less as the merge base of the
-// next incremental rebuild. probes is the window record count the
-// stats report (the deep-demotion path passes it explicitly because
-// tr may be a records-free header there).
+// next incremental rebuild. The state's ecdf is base, never the view:
+// MemBytes counts the view once (through the sketch), and the next
+// rebuild merges forward from the exact window, not the lossy law.
+// probes is the window record count the stats report (the
+// deep-demotion path passes it explicitly because tr may be a
+// records-free header there).
 func newModelStateSketch(tr *trace.Trace, sk *stats.Sketch, base *stats.ECDF, probes, outliers int, version int64) (*ModelState, error) {
 	rho := 0.0
 	if terminal := sk.N() + outliers; terminal > 0 {
 		rho = float64(outliers) / float64(terminal)
 	}
-	st := trace.StatsFromECDF(tr.Name, sk.View(), probes, outliers, tr.Timeout)
-	out, err := assembleModelState(tr, sk, rho, st, version)
+	view := sk.View()
+	st := trace.StatsFromECDF(tr.Name, view, probes, outliers, tr.Timeout)
+	out, err := assembleModelState(tr, view, rho, st, version)
 	if err != nil {
 		return nil, err
 	}
@@ -211,15 +216,16 @@ func newModelStateSketch(tr *trace.Trace, sk *stats.Sketch, base *stats.ECDF, pr
 	return out, nil
 }
 
-// assembleModelState wraps an empirical latency law — exact ECDF or
-// quantile sketch — into the queryable model stack. The returned
+// assembleModelState wraps an ECDF — the exact window's, or a sketch's
+// view — into the queryable model stack, with ecdf set to it (the
+// sketch-tier caller resets ecdf to its merge base). The returned
 // state's Model is the shared model of the snapshot's default
 // Planner, so every per-request Planner constructed over it reads one
 // candidate table and the snapshot is planned once (NewPlanner
 // detects that model and does not wrap it again;
 // TestPlannersShareOneMemo pins this).
-func assembleModelState(tr *trace.Trace, dist stats.EmpiricalDistribution, rho float64, st trace.Stats, version int64) (*ModelState, error) {
-	em, err := core.NewEmpiricalModelDist(dist, rho, tr.Timeout)
+func assembleModelState(tr *trace.Trace, ecdf *stats.ECDF, rho float64, st trace.Stats, version int64) (*ModelState, error) {
+	em, err := core.NewEmpiricalModel(ecdf, rho, tr.Timeout)
 	if err != nil {
 		return nil, err
 	}
@@ -234,9 +240,7 @@ func assembleModelState(tr *trace.Trace, dist stats.EmpiricalDistribution, rho f
 		Version: version,
 		Built:   time.Now(),
 		planner: p,
-	}
-	if e, ok := dist.(*stats.ECDF); ok {
-		out.ecdf = e
+		ecdf:    ecdf,
 	}
 	return out, nil
 }

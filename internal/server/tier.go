@@ -93,17 +93,14 @@ func (e *Entry) demote() bool {
 	// base is the cheap source; a broken chain falls back to a flat
 	// build so the sketch never summarizes a stale epoch.
 	base := old.ecdf
-	if e.fullRebuild || base == nil || !base.Counted() {
+	if e.fullRebuild || base == nil {
 		var err error
 		base, err = e.rolling.Snapshot().ECDF()
 		if err != nil {
 			return false
 		}
 	}
-	sk, err := stats.SketchFromECDF(base, 0)
-	if err != nil {
-		return false
-	}
+	sk := stats.SketchFromECDF(base, 0)
 	if e.wal != nil && e.store != nil {
 		// Deep: capture window + queue in a sketch-stamped snapshot
 		// (the WAL becomes the window's source of truth), then drop the

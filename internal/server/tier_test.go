@@ -356,7 +356,7 @@ func TestDemotedModelServesQueries(t *testing.T) {
 // warmTierKernels runs the steady-state batch query mix, a pow-kernel
 // grid sweep plus a cross-term grid sweep, so the kernels a serving
 // model holds are built before its bytes are counted.
-func warmTierKernels(d stats.EmpiricalDistribution) {
+func warmTierKernels(d *stats.ECDF) {
 	grid := make([]float64, 256)
 	max := d.Max()
 	for i := range grid {
@@ -387,7 +387,7 @@ func TestSketchTierDensity(t *testing.T) {
 	if sk == nil {
 		t.Fatal("demoted state has no sketch")
 	}
-	warmTierKernels(sk)
+	warmTierKernels(sk.View())
 	sketch := e.MemBytes()
 	ratio := float64(exact) / float64(sketch)
 	t.Logf("exact %d B/model, sketch %d B/model: %.1fx models/GB (eps %.4f)", exact, sketch, ratio, sk.ErrorBound())

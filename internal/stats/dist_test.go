@@ -20,11 +20,7 @@ func allDists() map[string]Distribution {
 		"gamma<1":     NewGamma(0.6, 0.002),
 		"gamma>1":     NewGamma(3, 0.01),
 		"shifted":     NewShifted(NewLogNormal(5.5, 0.9), 120),
-		"scaled":      NewScaled(NewExponential(1), 450),
-		"mixture": NewMixture(
-			[]Distribution{NewShifted(NewLogNormal(5.5, 0.7), 100), NewPareto(2000, 1.8)},
-			[]float64{0.9, 0.1}),
-		"truncated": NewTruncatedAbove(NewLogNormal(6, 1.2), 10000),
+		"truncated":   NewTruncatedAbove(NewLogNormal(6, 1.2), 10000),
 	}
 }
 
@@ -180,30 +176,6 @@ func TestGammaChiSquareIdentity(t *testing.T) {
 	almostEq(t, g.Var(), 6, 1e-12, "var")
 }
 
-func TestMixtureMomentsAndWeights(t *testing.T) {
-	a := NewUniform(0, 1)
-	b := NewUniform(10, 12)
-	m := NewMixture([]Distribution{a, b}, []float64{3, 1})
-	almostEq(t, m.Weight(0), 0.75, 1e-12, "weight normalization")
-	almostEq(t, m.Mean(), 0.75*0.5+0.25*11, 1e-12, "mixture mean")
-	wantVar := 0.75*(1.0/12) + 0.25*(4.0/12) +
-		0.75*math.Pow(0.5-m.Mean(), 2) + 0.25*math.Pow(11-m.Mean(), 2)
-	almostEq(t, m.Var(), wantVar, 1e-12, "mixture var")
-	almostEq(t, m.CDF(1), 0.75, 1e-12, "mixture cdf gap")
-	almostEq(t, m.CDF(5), 0.75, 1e-12, "mixture cdf plateau")
-}
-
-func TestMixturePanics(t *testing.T) {
-	mustPanic(t, func() { NewMixture(nil, nil) })
-	mustPanic(t, func() { NewMixture([]Distribution{NewUniform(0, 1)}, []float64{0}) })
-	mustPanic(t, func() {
-		NewMixture([]Distribution{NewUniform(0, 1)}, []float64{-1})
-	})
-	mustPanic(t, func() {
-		NewMixture([]Distribution{NewUniform(0, 1)}, []float64{1, 2})
-	})
-}
-
 func TestTruncatedAbove(t *testing.T) {
 	base := NewLogNormal(6, 1.5)
 	tr := NewTruncatedAbove(base, 10000)
@@ -225,16 +197,12 @@ func TestTruncatedAbove(t *testing.T) {
 	}
 }
 
-func TestShiftedAndScaled(t *testing.T) {
+func TestShifted(t *testing.T) {
 	base := NewExponential(0.01)
 	s := NewShifted(base, 150)
 	almostEq(t, s.Mean(), 250, 1e-9, "shifted mean")
 	almostEq(t, s.Var(), base.Var(), 1e-9, "shifted var")
 	almostEq(t, s.Quantile(0.5), base.Quantile(0.5)+150, 1e-9, "shifted median")
-
-	sc := NewScaled(base, 3)
-	almostEq(t, sc.Mean(), 300, 1e-9, "scaled mean")
-	almostEq(t, sc.Var(), 9*base.Var(), 1e-9, "scaled var")
 }
 
 func TestConstructorPanics(t *testing.T) {
@@ -245,7 +213,6 @@ func TestConstructorPanics(t *testing.T) {
 	mustPanic(t, func() { NewWeibull(0, 1) })
 	mustPanic(t, func() { NewPareto(1, 0) })
 	mustPanic(t, func() { NewGamma(-1, 1) })
-	mustPanic(t, func() { NewScaled(NewExponential(1), 0) })
 	mustPanic(t, func() { NewShifted(nil, 0) })
 	mustPanic(t, func() { LogNormalFromMoments(-1, 1) })
 }

@@ -1,11 +1,12 @@
 // Package stats provides the statistical substrate for the gridstrat
-// library: empirical cumulative distribution functions with exact
-// step-function integrals, parametric probability distributions
-// (lognormal, Weibull, Pareto, gamma, exponential, uniform and
-// mixtures), maximum-likelihood and method-of-moments fitting,
-// goodness-of-fit tests (Kolmogorov–Smirnov, Anderson–Darling,
-// chi-square), sample summary statistics, numerical quadrature and the
-// special functions they require.
+// library: the empirical cumulative distribution function with exact
+// step-function integrals (and the quantile sketch the serving layer
+// demotes it to), parametric probability distributions (lognormal,
+// Weibull, Pareto, gamma, exponential, uniform, shifted and truncated
+// laws), maximum-likelihood fitting, the Kolmogorov–Smirnov
+// goodness-of-fit test, sample summary statistics, the Mann–Kendall
+// trend test, adaptive quadrature and the special functions they
+// require.
 //
 // The package exists because the paper reproduced by this repository
 // ("Modeling User Submission Strategies on Production Grids", HPDC'09)

@@ -14,10 +14,13 @@ import (
 // data.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// ECDF is the empirical cumulative distribution function of a sample,
-// stored as sorted unique support points with cumulative probabilities.
-// It supports exact integrals of functionals of the step function,
-// which the submission-strategy models are built on.
+// ECDF is the empirical cumulative distribution function of a sample
+// of non-negative latencies, stored as sorted unique support points
+// with cumulative probabilities and per-point sample counts. It
+// supports exact integrals of functionals of the step function, which
+// the submission-strategy models are built on; it is the one empirical
+// law the models read (a sketch-tier model reads its sketch's
+// compiled ECDF).
 //
 // The integral primitives are answered by lazily built prefix-sum
 // kernels (one table per (s, b) integrand) so a query costs a binary
@@ -35,8 +38,6 @@ type ECDF struct {
 	// an ECDF mergeable: MergeSortedEvict rebuilds the next window's
 	// cum exactly (float64(runningCount)/float64(n), the same
 	// arithmetic as NewECDF) instead of re-sorting the flat sample.
-	// nil for weighted ECDFs (the output of Restrict), which cannot be
-	// merged.
 	cnt []int
 
 	// Lazily built per-(s, b) prefix-sum kernels for the pow-integrals.
@@ -51,28 +52,38 @@ type ECDF struct {
 	randIdx   []int32
 }
 
-// NewECDF builds the ECDF of sample (unweighted). The input slice is
-// not modified. It returns ErrEmpty for an empty sample and an error if
-// any value is NaN.
+// NewECDF builds the ECDF of sample. The input slice is not modified.
+// It returns ErrEmpty for an empty sample and an error if any value is
+// NaN or negative (latencies are non-negative, and the integral
+// kernels integrate from 0).
 func NewECDF(sample []float64) (*ECDF, error) {
 	if len(sample) == 0 {
 		return nil, ErrEmpty
 	}
-	xs := append([]float64(nil), sample...)
-	for _, v := range xs {
-		if math.IsNaN(v) {
-			return nil, errors.New("stats: NaN in sample")
+	for _, v := range sample {
+		if math.IsNaN(v) || v < 0 {
+			return nil, badValue("sample", v)
 		}
 	}
+	xs := append([]float64(nil), sample...)
 	sort.Float64s(xs)
 	return fromSortedTrusted(xs), nil
 }
 
-// fromSortedTrusted builds the counted ECDF of an ascending, NaN-free
-// sample. It is the single construction loop shared by NewECDF,
-// NewECDFFromSorted and the merge path's full-rebuild fallback, so
-// every counted ECDF of one sample multiset is bit-identical no matter
-// which constructor produced it.
+// badValue returns the error for a value no ECDF may hold — NaN or
+// negative — found in the named input.
+func badValue(name string, v float64) error {
+	if math.IsNaN(v) {
+		return fmt.Errorf("stats: NaN in %s", name)
+	}
+	return fmt.Errorf("stats: negative value %v in %s", v, name)
+}
+
+// fromSortedTrusted builds the ECDF of an ascending sample of
+// non-negative values. It is the single construction loop shared by
+// NewECDF, NewECDFFromSorted and the merge path's full-rebuild
+// fallback, so every ECDF of one sample multiset is bit-identical no
+// matter which constructor produced it.
 func fromSortedTrusted(xs []float64) *ECDF {
 	e := &ECDF{n: len(xs)}
 	n := float64(len(xs))
@@ -94,9 +105,9 @@ func fromSortedTrusted(xs []float64) *ECDF {
 // skipping NewECDF's O(n log n) sort — the constructor of the
 // incremental ingestion path, whose samples arrive pre-sorted from a
 // merge. The input slice is not modified. It returns ErrEmpty for an
-// empty sample and an error if the sample contains NaN or is not
-// ascending. The result is bit-identical to NewECDF on the same
-// multiset.
+// empty sample and an error if the sample contains NaN or a negative
+// value or is not ascending. The result is bit-identical to NewECDF on
+// the same multiset.
 func NewECDFFromSorted(sorted []float64) (*ECDF, error) {
 	if len(sorted) == 0 {
 		return nil, ErrEmpty
@@ -139,10 +150,10 @@ func (e *ECDF) Eval(x float64) float64 {
 // Quantile returns the generalized inverse: the smallest support point
 // x with F(x) >= p. For p <= 0 it returns Min; for p >= 1, Max.
 //
-// Invariant: cum[last] is pinned to exactly 1 at construction (and by
-// Restrict), so for p in (0, 1) the search below always finds an index
-// — the last entry satisfies the predicate even when accumulated
-// rounding would leave float64(n)/n slightly under 1.
+// Invariant: cum[last] is pinned to exactly 1 at construction, so for
+// p in (0, 1) the search below always finds an index — the last entry
+// satisfies the predicate even when accumulated rounding would leave
+// float64(n)/n slightly under 1.
 func (e *ECDF) Quantile(p float64) float64 {
 	switch {
 	case p <= 0:
@@ -242,10 +253,9 @@ type powKernelKey struct {
 
 // powKernel is the prefix-sum table of one integrand: seg[i] is the
 // constant integrand value on [xs[i], xs[i+1]) and pre/preU accumulate
-// the plain and u-weighted integrals up to each support point with the
-// same left-to-right addition order as the reference walkers, so a
-// table-backed query reproduces the walker's floating-point result for
-// b = 1 exactly and within a few ulps otherwise.
+// the plain and u-weighted integrals up to each support point, left to
+// right. The tests hold every query to the exact rational integral
+// within a bound derived from n, b and the float64 epsilon.
 //
 // seg is the tail of sv, whose leading entry is the integrand before
 // the first jump: sv[k] is the integrand once k support points are
@@ -262,20 +272,15 @@ type powKernel struct {
 // three float64 slices over the support (24·|support| bytes); a model
 // only ever queries one s (its 1-ρ) and a handful of b values, so the
 // cap exists purely to bound memory against adversarial query
-// patterns — queries past the cap fall back to the uncached O(n)
-// walkers.
+// patterns — a query for a new key past the cap builds its table, uses
+// it and drops it (O(n) per query), with the same answer the cached
+// table would give.
 const maxPowKernels = 64
 
-// powKernelFor returns the lazily built kernel for (s, b), or nil when
-// the fast path does not apply (negative support, or cache full for a
-// previously unseen key) and the caller must use the walker.
+// powKernelFor returns the kernel for (s, b): the cached table, built
+// on first use, or past the cache cap a table built for this query
+// alone.
 func (e *ECDF) powKernelFor(s float64, b int) *powKernel {
-	if e.xs[0] < 0 {
-		// The reference walkers have bespoke behaviour for negative
-		// support (latencies are non-negative, so this never triggers
-		// in practice); keep exact parity by walking.
-		return nil
-	}
 	key := powKernelKey{s: s, b: b}
 	e.kmu.RLock()
 	k := e.kernels[key]
@@ -288,16 +293,30 @@ func (e *ECDF) powKernelFor(s float64, b int) *powKernel {
 	if k = e.kernels[key]; k != nil {
 		return k
 	}
-	if len(e.kernels) >= maxPowKernels {
-		return nil
+	k = e.newPowKernel(s, b)
+	if len(e.kernels) < maxPowKernels {
+		if e.kernels == nil {
+			e.kernels = make(map[powKernelKey]*powKernel)
+		}
+		e.kernels[key] = k
 	}
+	return k
+}
+
+// newPowKernel builds the prefix-sum table of (1 - s·F)^b.
+func (e *ECDF) newPowKernel(s float64, b int) *powKernel {
 	m := len(e.xs)
-	k = &powKernel{
-		sv:   survivalTable(e.cum, s, b),
+	sv := make([]float64, m+1)
+	sv[0] = 1
+	for i, c := range e.cum {
+		sv[i+1] = PowInt(1-s*c, b)
+	}
+	k := &powKernel{
+		sv:   sv,
+		seg:  sv[1:],
 		pre:  make([]float64, m),
 		preU: make([]float64, m),
 	}
-	k.seg = k.sv[1:]
 	// Integrand is 1 before the first jump ((1 - s·0)^b).
 	k.pre[0] = e.xs[0]
 	k.preU[0] = 0.5 * e.xs[0] * e.xs[0]
@@ -305,32 +324,7 @@ func (e *ECDF) powKernelFor(s float64, b int) *powKernel {
 		k.pre[i] = k.pre[i-1] + (e.xs[i]-e.xs[i-1])*k.seg[i-1]
 		k.preU[i] = k.preU[i-1] + 0.5*(e.xs[i]*e.xs[i]-e.xs[i-1]*e.xs[i-1])*k.seg[i-1]
 	}
-	if e.kernels == nil {
-		e.kernels = make(map[powKernelKey]*powKernel)
-	}
-	e.kernels[key] = k
 	return k
-}
-
-// survivalTable returns sv with sv[0] = 1 and sv[i+1] =
-// (1 - s·cum[i])^b: the integrand (1 - s·F)^b once i+1 support points
-// are passed.
-func survivalTable(cum []float64, s float64, b int) []float64 {
-	sv := make([]float64, len(cum)+1)
-	sv[0] = 1
-	for i, c := range cum {
-		sv[i+1] = PowInt(1-s*c, b)
-	}
-	return sv
-}
-
-// survival returns the b = 1 survival table of scale s (see powKernel):
-// the kernel's when it can be built, otherwise a fresh one.
-func (e *ECDF) survival(s float64) []float64 {
-	if k := e.powKernelFor(s, 1); k != nil {
-		return k.sv
-	}
-	return survivalTable(e.cum, s, 1)
 }
 
 // integral answers ∫₀ᵀ (1-s·F)^b given the table: the prefix through
@@ -382,10 +376,7 @@ func (e *ECDF) IntegralOneMinusFPow(T, s float64, b int) float64 {
 		return 0
 	}
 	checkPow(b)
-	if k := e.powKernelFor(s, b); k != nil {
-		return k.integral(e.xs, T)
-	}
-	return e.IntegralOneMinusFPowWalk(T, s, b)
+	return e.powKernelFor(s, b).integral(e.xs, T)
 }
 
 // IntegralUOneMinusFPow computes ∫₀ᵀ u·(1 - s·F(u))^b du exactly; this
@@ -397,10 +388,7 @@ func (e *ECDF) IntegralUOneMinusFPow(T, s float64, b int) float64 {
 		return 0
 	}
 	checkPow(b)
-	if k := e.powKernelFor(s, b); k != nil {
-		return k.integralU(e.xs, T)
-	}
-	return e.IntegralUOneMinusFPowWalk(T, s, b)
+	return e.powKernelFor(s, b).integralU(e.xs, T)
 }
 
 // IntegralOneMinusFPowBatch answers ∫₀ᵀ (1-s·F)^b for every T in Ts.
@@ -434,14 +422,6 @@ func (e *ECDF) powBatch(Ts []float64, s float64, b int, uweighted bool) []float6
 		if T <= 0 {
 			continue
 		}
-		if k == nil {
-			if uweighted {
-				out[i] = e.IntegralUOneMinusFPowWalk(T, s, b)
-			} else {
-				out[i] = e.IntegralOneMinusFPowWalk(T, s, b)
-			}
-			continue
-		}
 		if T < cursorT {
 			// Out-of-order entry: search, and re-anchor the cursor
 			// there so an ascending run that follows (the next column
@@ -460,81 +440,6 @@ func (e *ECDF) powBatch(Ts []float64, s float64, b int, uweighted bool) []float6
 		}
 	}
 	return out
-}
-
-// --- Reference walkers ---
-//
-// The O(n) pow-integral walks. They answer a query when no prefix-sum
-// kernel can (the kernel cache is full, or the support has a negative
-// point), and they are the ground truth the kernels are property-tested
-// against.
-
-// IntegralOneMinusFPowWalk is the O(n) reference walker for
-// IntegralOneMinusFPow.
-func (e *ECDF) IntegralOneMinusFPowWalk(T, s float64, b int) float64 {
-	if T <= 0 || s < 0 {
-		return 0
-	}
-	checkPow(b)
-	total := 0.0
-	prevX := 0.0
-	prevF := 0.0 // F value on [prevX, next support)
-	for i := 0; i <= len(e.xs); i++ {
-		var x, f float64
-		if i < len(e.xs) {
-			x = e.xs[i]
-			f = e.cum[i]
-		} else {
-			x = math.Inf(1)
-			f = 1
-		}
-		if x > T {
-			x = T
-		}
-		if x > prevX {
-			total += (x - prevX) * math.Pow(1-s*prevF, float64(b))
-		}
-		if x >= T {
-			return total
-		}
-		prevX = x
-		prevF = f
-	}
-	return total
-}
-
-// IntegralUOneMinusFPowWalk is the O(n) reference walker for
-// IntegralUOneMinusFPow.
-func (e *ECDF) IntegralUOneMinusFPowWalk(T, s float64, b int) float64 {
-	if T <= 0 || s < 0 {
-		return 0
-	}
-	checkPow(b)
-	total := 0.0
-	prevX := 0.0
-	prevF := 0.0
-	for i := 0; i <= len(e.xs); i++ {
-		var x, f float64
-		if i < len(e.xs) {
-			x = e.xs[i]
-			f = e.cum[i]
-		} else {
-			x = math.Inf(1)
-			f = 1
-		}
-		if x > T {
-			x = T
-		}
-		if x > prevX {
-			total += 0.5 * (x*x - prevX*prevX) * math.Pow(1-s*prevF, float64(b))
-		}
-		if x >= T {
-			return total
-		}
-		prevX = x
-		prevF = f
-	}
-	return total
 }
 
 // --- Delayed cross-term integrals ---
@@ -606,7 +511,7 @@ func (e *ECDF) prodBothSweep(Ts []float64, shift, s float64, out0, out1 []float6
 		return
 	}
 	Tmax := Ts[len(Ts)-1]
-	sv := e.survival(s)
+	sv := e.powKernelFor(s, 1).sv
 	i, j := e.rankLE(0), e.rankLE(shift)
 	xi, xj := e.breakAt(i, 0), e.breakAt(j, shift)
 	u := 0.0
@@ -660,7 +565,7 @@ func (e *ECDF) integralProd(T, shift, s float64, withU bool) float64 {
 	if T <= 0 || s < 0 {
 		return 0
 	}
-	sv := e.survival(s)
+	sv := e.powKernelFor(s, 1).sv
 	i, j := e.rankLE(0), e.rankLE(shift)
 	xi, xj := e.breakAt(i, 0), e.breakAt(j, shift)
 	u := 0.0
@@ -713,73 +618,35 @@ func (e *ECDF) breakAt(k int, shift float64) float64 {
 	return math.Inf(1)
 }
 
-// PartialExpectation computes ∫₀ᵀ u dF(u) = (1/n)·Σ_{x_i <= T} x_i,
-// the contribution of samples below T to the mean (exact).
-func (e *ECDF) PartialExpectation(T float64) float64 {
-	sum := 0.0
-	prev := 0.0
-	for i, x := range e.xs {
-		if x > T {
-			break
-		}
-		sum += x * (e.cum[i] - prev)
-		prev = e.cum[i]
+// powKernelBytes is the per-support-point cost of one prefix-sum
+// kernel (seg + pre + preU float64 entries).
+const powKernelBytes = 3 * 8
+
+// MemBytes estimates the ECDF's resident heap footprint — the
+// registry's byte accounting reads it: the support arrays (values,
+// cumulative probabilities, counts), every built
+// prefix-sum kernel (three float64 slices over the support each), and
+// the O(1) sampler bucket table when built. Safe for concurrent use.
+func (e *ECDF) MemBytes() int64 {
+	b := int64(len(e.xs)+len(e.cum)) * 8
+	b += int64(len(e.cnt)) * 8
+	e.kmu.RLock()
+	nk := len(e.kernels)
+	e.kmu.RUnlock()
+	b += int64(nk) * int64(len(e.xs)) * powKernelBytes
+	if e.randBuilt.Load() {
+		b += int64(len(e.randIdx)) * 4
 	}
-	return sum
+	return b
 }
 
-// Restrict returns a new ECDF of only the sample values <= T (the
-// conditional law given X <= T). It returns ErrEmpty if no values
-// qualify.
-//
-// The restricted ECDF is built directly from the (xs, cum) weights in
-// O(k) for k kept support points — no materialization of duplicate
-// samples, no re-sort, and no rounding drift for weights that are not
-// exact multiples of 1/n (e.g. the output of a previous Restrict).
-func (e *ECDF) Restrict(T float64) (*ECDF, error) {
-	hi := e.rankLE(T) // keep xs[:hi]
-	if hi == 0 {
-		return nil, ErrEmpty
-	}
-	mass := e.cum[hi-1]
-	xs := append([]float64(nil), e.xs[:hi]...)
-	cum := make([]float64, hi)
-	for i := 0; i < hi; i++ {
-		cum[i] = e.cum[i] / mass
-	}
-	cum[hi-1] = 1 // pin the Quantile invariant exactly
-	n := int(math.Round(mass * float64(e.n)))
-	if n < hi {
-		n = hi // at least one sample per retained support point
-	}
-	return &ECDF{xs: xs, cum: cum, n: n}, nil
-}
-
-// LinearInterpolated returns a continuous piecewise-linear CDF passing
-// through the ECDF's step midpoints, suitable for density-based
-// evaluations (the delayed-resubmission closed form needs a density).
-// The returned function is non-decreasing, 0 before Min and 1 after
-// Max.
-func (e *ECDF) LinearInterpolated() func(float64) float64 {
-	xs := e.xs
-	cum := e.cum
-	return func(x float64) float64 {
-		if x <= xs[0] {
-			if x == xs[0] {
-				return cum[0]
-			}
-			return 0
-		}
-		if x >= xs[len(xs)-1] {
-			return 1
-		}
-		i := sort.SearchFloat64s(xs, x)
-		if i < len(xs) && xs[i] == x {
-			return cum[i]
-		}
-		// Between xs[i-1] and xs[i].
-		x0, x1 := xs[i-1], xs[i]
-		y0, y1 := cum[i-1], cum[i]
-		return y0 + (y1-y0)*(x-x0)/(x1-x0)
-	}
+// DropKernels releases every built prefix-sum kernel — the demotion
+// path's memory reclaim for an ECDF kept only as a merge base. Later
+// queries rebuild tables lazily, so dropping is safe (and safe for
+// concurrent use); only the warm cache is lost. The sampler bucket
+// table is Once-guarded and cannot be released.
+func (e *ECDF) DropKernels() {
+	e.kmu.Lock()
+	e.kernels = nil
+	e.kmu.Unlock()
 }

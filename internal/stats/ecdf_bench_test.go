@@ -18,7 +18,7 @@ func benchECDF(n int) *ECDF {
 
 var benchSink float64
 
-// --- The four integral kernels, table-backed vs reference walker ---
+// --- The integral kernels ---
 
 func BenchmarkKernelIntegralOneMinusFPow(b *testing.B) {
 	e := benchECDF(2000)
@@ -29,26 +29,12 @@ func BenchmarkKernelIntegralOneMinusFPow(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelIntegralOneMinusFPowWalk(b *testing.B) {
-	e := benchECDF(2000)
-	for i := 0; i < b.N; i++ {
-		benchSink = e.IntegralOneMinusFPowWalk(500, 0.9, 5)
-	}
-}
-
 func BenchmarkKernelIntegralUOneMinusFPow(b *testing.B) {
 	e := benchECDF(2000)
 	e.IntegralUOneMinusFPow(500, 0.9, 5)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchSink = e.IntegralUOneMinusFPow(500, 0.9, 5)
-	}
-}
-
-func BenchmarkKernelIntegralUOneMinusFPowWalk(b *testing.B) {
-	e := benchECDF(2000)
-	for i := 0; i < b.N; i++ {
-		benchSink = e.IntegralUOneMinusFPowWalk(500, 0.9, 5)
 	}
 }
 
@@ -81,19 +67,6 @@ func BenchmarkKernelBatchGrid(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		out := e.IntegralOneMinusFPowBatch(Ts, 0.9, 5)
 		benchSink = out[len(out)-1]
-	}
-}
-
-func BenchmarkKernelBatchGridWalk(b *testing.B) {
-	e := benchECDF(2000)
-	Ts := make([]float64, 400)
-	for i := range Ts {
-		Ts[i] = float64(i+1) * 25
-	}
-	for i := 0; i < b.N; i++ {
-		for _, T := range Ts {
-			benchSink = e.IntegralOneMinusFPowWalk(T, 0.9, 5)
-		}
 	}
 }
 

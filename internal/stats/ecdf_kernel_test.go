@@ -44,60 +44,6 @@ func kernelQueryPoints(e *ECDF, rng *rand.Rand) []float64 {
 	return Ts
 }
 
-func relErr(got, want float64) float64 {
-	if got == want {
-		return 0
-	}
-	d := math.Abs(got - want)
-	scale := math.Max(math.Abs(want), 1)
-	return d / scale
-}
-
-// TestKernelMatchesWalkerProperty is the kernels' exactness gate: on
-// random ECDFs, the two pow integrals must agree between the prefix-sum
-// kernels and the O(n) reference walkers to 1e-12, and the fused cross
-// terms must equal the two scalar cross-term walks bit for bit, for
-// every combination of T placement, shift, s ∈ {1-ρ, 1}, and
-// b ∈ {1,2,5,10}.
-func TestKernelMatchesWalkerProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 60; trial++ {
-		e := randomECDF(rng)
-		ss := []float64{1, 1 - rng.Float64()*0.3} // s = 1 and s = 1-ρ
-		Ts := kernelQueryPoints(e, rng)
-		shifts := []float64{0, e.Min(), e.Max() / 3, e.Max() + 50, rng.Float64() * 800}
-		for _, s := range ss {
-			for _, b := range []int{1, 2, 5, 10} {
-				for _, T := range Ts {
-					got := e.IntegralOneMinusFPow(T, s, b)
-					want := e.IntegralOneMinusFPowWalk(T, s, b)
-					if relErr(got, want) > 1e-12 {
-						t.Fatalf("pow kernel: T=%v s=%v b=%d got %v want %v", T, s, b, got, want)
-					}
-					gotU := e.IntegralUOneMinusFPow(T, s, b)
-					wantU := e.IntegralUOneMinusFPowWalk(T, s, b)
-					if relErr(gotU, wantU) > 1e-12 {
-						t.Fatalf("upow kernel: T=%v s=%v b=%d got %v want %v", T, s, b, gotU, wantU)
-					}
-				}
-			}
-			for _, shift := range shifts {
-				for _, T := range Ts {
-					p0, u0 := e.IntegralProdBoth(T, shift, s)
-					w0 := e.IntegralProdOneMinusF(T, shift, s)
-					wu := e.IntegralUProdOneMinusF(T, shift, s)
-					if p0 != w0 {
-						t.Fatalf("prod fused: T=%v shift=%v s=%v got %v want %v", T, shift, s, p0, w0)
-					}
-					if u0 != wu {
-						t.Fatalf("uprod fused: T=%v shift=%v s=%v got %v want %v", T, shift, s, u0, wu)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestBatchMatchesScalarBitwise pins the stronger contract the swept
 // grid scans rely on: batch answers equal the scalar kernel answers
 // bit for bit on ascending grids (and still exactly on unsorted ones
@@ -199,13 +145,6 @@ func TestRandMatchesQuantileStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 25; trial++ {
 		e := randomECDF(rng)
-		if trial%3 == 0 {
-			// Exercise restricted ECDFs too: their cum values are not
-			// multiples of 1/n.
-			if r, err := e.Restrict(e.Max() * 0.7); err == nil {
-				e = r
-			}
-		}
 		seed := rng.Int63()
 		r1 := rand.New(rand.NewSource(seed))
 		r2 := rand.New(rand.NewSource(seed))
@@ -279,60 +218,28 @@ func TestQuantileInvariantEdges(t *testing.T) {
 	}
 }
 
-// TestRestrictExactWeights checks the direct (xs, cum) construction:
-// restricted masses are exact ratios — including for the output of a
-// previous Restrict, whose weights are not multiples of 1/n and which
-// the old duplicate-materializing implementation rounded.
-func TestRestrictExactWeights(t *testing.T) {
-	e := MustECDF([]float64{1, 1, 2, 3, 3, 3, 10})
-	r, err := e.Restrict(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N() != 6 {
-		t.Fatalf("restricted N = %d, want 6", r.N())
-	}
-	// P(X=1 | X<=3) = 2/6 exactly.
-	if got, want := r.Eval(1), 2.0/6.0; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("restricted Eval(1) = %v, want %v", got, want)
-	}
-	if r.Eval(r.Max()) != 1 {
-		t.Fatal("restricted cum not pinned to 1")
-	}
-	// Restrict of a restricted law: weights are now sixths; a further
-	// restriction must keep the exact ratio 2/3 for the mass at 1.
-	rr, err := r.Restrict(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := rr.Eval(1), 2.0/3.0; math.Abs(got-want) > 1e-15 {
-		t.Fatalf("double-restricted Eval(1) = %v, want %v", got, want)
-	}
-	if got, want := rr.Mean(), (2*1.0+1*2.0)/3.0; math.Abs(got-want) > 1e-12 {
-		t.Fatalf("double-restricted mean = %v, want %v", got, want)
-	}
-}
-
 // TestKernelTablesConcurrent exercises the lazy kernel and sampler
 // tables from 8 goroutines (run under -race in CI): concurrent first
-// touches of multiple (s, b) keys, batch sweeps, and draws must all
-// agree with the sequential walkers.
+// touches of multiple (s, b) keys and draws must all agree bit for bit
+// with a twin ECDF queried sequentially.
 func TestKernelTablesConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	e := randomECDF(rng)
 	s := 0.85
 	Ts := kernelQueryPoints(e, rng)
 	type ref struct{ pow, upow, prod, uprod float64 }
-	// Sequential ground truth via the walkers, before any table exists.
+	// Sequential ground truth from a twin with its own caches, before
+	// any table of e exists.
+	twin := &ECDF{xs: e.xs, cum: e.cum, cnt: e.cnt, n: e.n}
 	want := make(map[int][]ref)
 	for _, b := range []int{1, 2, 5, 10} {
 		rs := make([]ref, len(Ts))
 		for i, T := range Ts {
 			rs[i] = ref{
-				pow:   e.IntegralOneMinusFPowWalk(T, s, b),
-				upow:  e.IntegralUOneMinusFPowWalk(T, s, b),
-				prod:  e.IntegralProdOneMinusF(T, 40, s),
-				uprod: e.IntegralUProdOneMinusF(T, 40, s),
+				pow:   twin.IntegralOneMinusFPow(T, s, b),
+				upow:  twin.IntegralUOneMinusFPow(T, s, b),
+				prod:  twin.IntegralProdOneMinusF(T, 40, s),
+				uprod: twin.IntegralUProdOneMinusF(T, 40, s),
 			}
 		}
 		want[b] = rs
@@ -348,15 +255,19 @@ func TestKernelTablesConcurrent(t *testing.T) {
 			for rep := 0; rep < 50; rep++ {
 				b := []int{1, 2, 5, 10}[(g+rep)%4]
 				for i, T := range Ts {
-					if got := e.IntegralOneMinusFPow(T, s, b); relErr(got, want[b][i].pow) > 1e-12 {
+					if got := e.IntegralOneMinusFPow(T, s, b); got != want[b][i].pow {
 						errs <- errMismatch
 						return
 					}
-					if got := e.IntegralUOneMinusFPow(T, s, b); relErr(got, want[b][i].upow) > 1e-12 {
+					if got := e.IntegralUOneMinusFPow(T, s, b); got != want[b][i].upow {
 						errs <- errMismatch
 						return
 					}
 					if got := e.IntegralProdOneMinusF(T, 40, s); got != want[b][i].prod {
+						errs <- errMismatch
+						return
+					}
+					if got := e.IntegralUProdOneMinusF(T, 40, s); got != want[b][i].uprod {
 						errs <- errMismatch
 						return
 					}
@@ -372,7 +283,7 @@ func TestKernelTablesConcurrent(t *testing.T) {
 	}
 }
 
-var errMismatch = errorString("concurrent kernel query diverged from walker")
+var errMismatch = errorString("concurrent kernel query diverged from the sequential twin")
 
 type errorString string
 

@@ -7,24 +7,10 @@ import (
 )
 
 // This file is the incremental-ingestion surface of the ECDF: merge-
-// based construction of the next rolling-window epoch (MergeSorted /
-// MergeSortedEvict) and the kernel warm-up pair (TableKeys / Prewarm)
+// based construction of the next rolling-window epoch
+// (MergeSortedEvict) and the kernel warm-up pair (TableKeys / Prewarm)
 // that lets a model swap go live with hot prefix-sum tables instead of
 // repaying their O(n) builds on the first post-swap query.
-
-// Counted reports whether the ECDF carries exact per-support sample
-// counts. Counted ECDFs (built by NewECDF, NewECDFFromSorted or a
-// merge) support MergeSortedEvict and SampleQuantile; weighted ones
-// (built by Restrict) do not.
-func (e *ECDF) Counted() bool { return e.cnt != nil }
-
-// MergeSorted returns the ECDF of this sample extended by an ascending
-// batch — the next epoch of a growing window, built in O(m + k) for m
-// support points and k batch values instead of re-sorting the flat
-// sample. See MergeSortedEvict for the full append-and-evict form.
-func (e *ECDF) MergeSorted(batch []float64) (*ECDF, error) {
-	return e.MergeSortedEvict(batch, nil)
-}
 
 // MergeSortedEvict returns the ECDF of this sample plus the ascending
 // slice add and minus the ascending slice evict — one rolling-window
@@ -39,13 +25,10 @@ func (e *ECDF) MergeSorted(batch []float64) (*ECDF, error) {
 // not carry over — warm the new epoch with Prewarm(old.TableKeys())
 // before swapping it in.
 //
-// It returns an error for weighted (Restrict-built) receivers,
-// non-ascending or NaN inputs, evictions that are not in the sample,
-// and ErrEmpty when every value is evicted.
+// It returns an error for non-ascending, NaN or negative inputs,
+// evictions that are not in the sample, and ErrEmpty when every value
+// is evicted.
 func (e *ECDF) MergeSortedEvict(add, evict []float64) (*ECDF, error) {
-	if e.cnt == nil {
-		return nil, fmt.Errorf("stats: merge on a weighted ECDF (built by Restrict)")
-	}
 	if err := checkAscending("add", add); err != nil {
 		return nil, err
 	}
@@ -147,8 +130,8 @@ func (e *ECDF) MergeSortedEvict(add, evict []float64) (*ECDF, error) {
 
 func checkAscending(name string, xs []float64) error {
 	for i, v := range xs {
-		if math.IsNaN(v) {
-			return fmt.Errorf("stats: NaN in %s batch", name)
+		if math.IsNaN(v) || v < 0 {
+			return badValue(name+" batch", v)
 		}
 		if i > 0 && v < xs[i-1] {
 			return fmt.Errorf("stats: %s batch not sorted at index %d", name, i)
@@ -189,8 +172,7 @@ func (e *ECDF) TableKeys() []TableKey {
 
 // Prewarm eagerly builds the prefix-sum kernels for the given keys, so
 // the first queries after this ECDF is swapped in cost a binary search
-// instead of an O(n) table build. Keys past the kernel cache cap are
-// skipped, exactly as a lazy query would be. Safe for concurrent use
+// instead of an O(n) table build. Safe for concurrent use
 // (idempotent). Companion: PrewarmSampler for the bootstrap-sampling
 // table — kept separate so a model that never simulates does not pay
 // an O(n) sampler build per rebuild.
@@ -219,11 +201,8 @@ func (e *ECDF) SamplerWarm() bool { return e.randBuilt.Load() }
 // under the same type-7 linear-interpolation convention as
 // stats.Percentile on the sorted sample — exact order statistics
 // resolved from the support counts in O(m), without materializing the
-// sample. It returns NaN for weighted (Restrict-built) ECDFs.
+// sample.
 func (e *ECDF) SampleQuantile(p float64) float64 {
-	if e.cnt == nil {
-		return math.NaN()
-	}
 	if p <= 0 {
 		return e.xs[0]
 	}

@@ -50,6 +50,9 @@ func TestNewECDFFromSortedMatchesNewECDF(t *testing.T) {
 	if _, err := NewECDFFromSorted([]float64{1, math.NaN()}); err == nil {
 		t.Fatal("NaN sample accepted")
 	}
+	if _, err := NewECDFFromSorted([]float64{-1, 5, 9}); err == nil {
+		t.Fatal("negative sample accepted")
+	}
 	if _, err := NewECDFFromSorted(nil); err != ErrEmpty {
 		t.Fatalf("empty sample: got %v, want ErrEmpty", err)
 	}
@@ -136,18 +139,8 @@ func TestMergeSortedEvictErrors(t *testing.T) {
 	if _, err := e.MergeSortedEvict([]float64{math.NaN()}, nil); err == nil {
 		t.Fatal("NaN add batch accepted")
 	}
-	r, err := e.Restrict(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.MergeSorted([]float64{1}); err == nil {
-		t.Fatal("merge on a weighted (Restrict) ECDF succeeded")
-	}
-	if r.Counted() {
-		t.Fatal("Restrict output claims counts")
-	}
-	if !e.Counted() {
-		t.Fatal("NewECDF output lacks counts")
+	if _, err := e.MergeSortedEvict([]float64{-0.5, 4}, nil); err == nil {
+		t.Fatal("negative add batch accepted")
 	}
 }
 
@@ -174,7 +167,7 @@ func TestPrewarmHandoff(t *testing.T) {
 		}
 	}
 
-	next, err := old.MergeSorted([]float64{2, 9})
+	next, err := old.MergeSortedEvict([]float64{2, 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +176,7 @@ func TestPrewarmHandoff(t *testing.T) {
 		t.Fatalf("prewarmed keys = %v, want %v", got, want)
 	}
 	// A cold twin must answer identically to the prewarmed copy.
-	cold, err := old.MergeSorted([]float64{2, 9})
+	cold, err := old.MergeSortedEvict([]float64{2, 9}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,9 +230,5 @@ func TestSampleQuantileMatchesPercentile(t *testing.T) {
 				t.Fatalf("trial %d: SampleQuantile(%v) = %v, want %v", trial, p, got, want)
 			}
 		}
-	}
-	r, _ := MustECDF([]float64{1, 2, 3}).Restrict(2)
-	if !math.IsNaN(r.SampleQuantile(0.5)) {
-		t.Fatal("weighted ECDF SampleQuantile should be NaN")
 	}
 }

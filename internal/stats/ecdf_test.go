@@ -32,6 +32,16 @@ func TestECDFErrors(t *testing.T) {
 	if _, err := NewECDF([]float64{1, math.NaN()}); err == nil {
 		t.Fatal("want NaN error")
 	}
+	// Latencies are non-negative; a negative value would put support
+	// below the kernels' origin at 0.
+	for _, sample := range [][]float64{{-1, 5, 9}, {-2, -1, 1, 3}, {3, math.Inf(-1)}} {
+		if _, err := NewECDF(sample); err == nil {
+			t.Fatalf("NewECDF(%v) accepted a negative value", sample)
+		}
+	}
+	if _, err := NewECDF([]float64{0, 0, 2}); err != nil {
+		t.Fatalf("zero latencies rejected: %v", err)
+	}
 }
 
 func TestECDFQuantileInverse(t *testing.T) {
@@ -164,47 +174,6 @@ func TestIntegralAgainstAnalyticExponential(t *testing.T) {
 	}
 }
 
-func TestPartialExpectation(t *testing.T) {
-	e := MustECDF([]float64{1, 2, 3, 4})
-	almostEq(t, e.PartialExpectation(2.5), (1+2)/4.0, 1e-12, "partial")
-	almostEq(t, e.PartialExpectation(100), e.Mean(), 1e-12, "full")
-	almostEq(t, e.PartialExpectation(0.5), 0, 1e-12, "none")
-}
-
-func TestRestrict(t *testing.T) {
-	e := MustECDF([]float64{1, 2, 2, 3, 10, 20})
-	r, err := e.Restrict(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.N() != 4 {
-		t.Fatalf("restricted N = %d, want 4", r.N())
-	}
-	almostEq(t, r.Mean(), 2, 1e-12, "restricted mean")
-	if _, err := e.Restrict(0.5); err != ErrEmpty {
-		t.Fatalf("want ErrEmpty, got %v", err)
-	}
-}
-
-func TestLinearInterpolated(t *testing.T) {
-	e := MustECDF([]float64{0, 10})
-	f := e.LinearInterpolated()
-	almostEq(t, f(-1), 0, 1e-15, "below")
-	almostEq(t, f(0), 0.5, 1e-15, "at first point")
-	almostEq(t, f(5), 0.75, 1e-12, "midpoint")
-	almostEq(t, f(10), 1, 1e-15, "at max")
-	almostEq(t, f(11), 1, 1e-15, "above")
-	// Monotone everywhere.
-	prev := -1.0
-	for x := -2.0; x < 12; x += 0.1 {
-		v := f(x)
-		if v < prev {
-			t.Fatalf("interpolated CDF not monotone at %v", x)
-		}
-		prev = v
-	}
-}
-
 func TestECDFBootstrapRand(t *testing.T) {
 	e := MustECDF([]float64{5, 5, 5, 9})
 	rng := rand.New(rand.NewSource(41))
@@ -232,7 +201,7 @@ func TestECDFSupportSorted(t *testing.T) {
 		}
 		xs := make([]float64, len(raw))
 		for i, v := range raw {
-			xs[i] = math.Mod(v, 1000)
+			xs[i] = math.Mod(math.Abs(v), 1000)
 			if math.IsNaN(xs[i]) {
 				xs[i] = 0
 			}

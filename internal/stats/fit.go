@@ -208,20 +208,6 @@ func FitGammaMLE(sample []float64) (Gamma, error) {
 	return Gamma{Alpha: alpha, Beta: alpha / mean}, nil
 }
 
-// FitShiftedLogNormalMoments fits a shifted lognormal matching the
-// sample mean and standard deviation with the given fixed shift. This
-// is the generator family used to synthesize per-week EGEE latency
-// bodies: the shift models the hard middleware floor.
-func FitShiftedLogNormalMoments(mean, std, shift float64) (Shifted, error) {
-	if mean-shift <= 0 {
-		return Shifted{}, fmt.Errorf("stats: shift %v must be below mean %v", shift, mean)
-	}
-	if std <= 0 {
-		return Shifted{}, errors.New("stats: std must be positive")
-	}
-	return Shifted{Base: LogNormalFromMoments(mean-shift, std), Offset: shift}, nil
-}
-
 // LogLikelihood returns the total log density of sample under d.
 func LogLikelihood(d Distribution, sample []float64) float64 {
 	sum := 0.0

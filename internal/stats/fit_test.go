@@ -92,21 +92,6 @@ func TestFitParetoMLE(t *testing.T) {
 	}
 }
 
-func TestFitShiftedLogNormalMoments(t *testing.T) {
-	d, err := FitShiftedLogNormalMoments(500, 700, 120)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almostEq(t, d.Mean(), 500, 1e-6, "mean")
-	almostEq(t, Std(d), 700, 1e-6, "std")
-	if _, err := FitShiftedLogNormalMoments(100, 50, 150); err == nil {
-		t.Fatal("shift above mean should error")
-	}
-	if _, err := FitShiftedLogNormalMoments(100, 0, 10); err == nil {
-		t.Fatal("zero std should error")
-	}
-}
-
 func TestFitBestPicksGeneratingFamily(t *testing.T) {
 	// Data generated from a lognormal should rank lognormal first.
 	sample := sampleFrom(NewLogNormal(6, 0.9), 20000, 6)

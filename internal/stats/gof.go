@@ -68,87 +68,3 @@ func KSPValue(ks float64, n int) float64 {
 	}
 	return p
 }
-
-// KSTwoSample returns the two-sample KS distance between samples a
-// and b.
-func KSTwoSample(a, b []float64) float64 {
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	as := append([]float64(nil), a...)
-	bs := append([]float64(nil), b...)
-	sort.Float64s(as)
-	sort.Float64s(bs)
-	var i, j int
-	maxD := 0.0
-	na, nb := float64(len(as)), float64(len(bs))
-	for i < len(as) && j < len(bs) {
-		if as[i] <= bs[j] {
-			i++
-		} else {
-			j++
-		}
-		d := math.Abs(float64(i)/na - float64(j)/nb)
-		if d > maxD {
-			maxD = d
-		}
-	}
-	return maxD
-}
-
-// AndersonDarling returns the Anderson–Darling A² statistic of sample
-// against the theoretical distribution d. A² emphasizes tail
-// discrepancies, which matters for heavy-tailed latency fits.
-func AndersonDarling(sample []float64, d Distribution) float64 {
-	n := len(sample)
-	if n == 0 {
-		return 0
-	}
-	xs := append([]float64(nil), sample...)
-	sort.Float64s(xs)
-	const eps = 1e-300
-	sum := 0.0
-	for i, x := range xs {
-		fi := math.Min(math.Max(d.CDF(x), eps), 1-1e-16)
-		fr := math.Min(math.Max(d.CDF(xs[n-1-i]), eps), 1-1e-16)
-		sum += (2*float64(i) + 1) * (math.Log(fi) + math.Log(1-fr))
-	}
-	return -float64(n) - sum/float64(n)
-}
-
-// ChiSquareGOF bins the sample into k equiprobable cells under d and
-// returns the Pearson chi-square statistic and its degrees of freedom
-// (k-1; the caller subtracts fitted-parameter counts as appropriate).
-func ChiSquareGOF(sample []float64, d Distribution, k int) (chi2 float64, dof int) {
-	n := len(sample)
-	if n == 0 || k < 2 {
-		return 0, 0
-	}
-	expected := float64(n) / float64(k)
-	counts := make([]int, k)
-	for _, x := range sample {
-		p := d.CDF(x)
-		i := int(p * float64(k))
-		if i >= k {
-			i = k - 1
-		}
-		if i < 0 {
-			i = 0
-		}
-		counts[i]++
-	}
-	for _, c := range counts {
-		diff := float64(c) - expected
-		chi2 += diff * diff / expected
-	}
-	return chi2, k - 1
-}
-
-// ChiSquarePValue returns P(X² >= chi2) for a chi-square distribution
-// with dof degrees of freedom.
-func ChiSquarePValue(chi2 float64, dof int) float64 {
-	if dof <= 0 || chi2 <= 0 {
-		return 1
-	}
-	return RegularizedGammaQ(float64(dof)/2, chi2/2)
-}

@@ -5,48 +5,6 @@ import (
 	"math"
 )
 
-// Trapezoid integrates f over [a, b] with n uniform panels using the
-// composite trapezoid rule. It panics unless n >= 1 and a <= b.
-func Trapezoid(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 1 || a > b {
-		panic(fmt.Sprintf("stats: invalid trapezoid spec [%v,%v] n=%d", a, b, n))
-	}
-	if a == b {
-		return 0
-	}
-	h := (b - a) / float64(n)
-	sum := 0.5 * (f(a) + f(b))
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
-}
-
-// Simpson integrates f over [a, b] with n uniform panels (n rounded up
-// to even) using the composite Simpson rule.
-func Simpson(f func(float64) float64, a, b float64, n int) float64 {
-	if n < 2 || a > b {
-		panic(fmt.Sprintf("stats: invalid simpson spec [%v,%v] n=%d", a, b, n))
-	}
-	if a == b {
-		return 0
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
-
 // AdaptiveSimpson integrates f over [a, b] to absolute tolerance tol
 // using adaptive Simpson quadrature with a recursion-depth cap.
 func AdaptiveSimpson(f func(float64) float64, a, b, tol float64) float64 {
@@ -79,50 +37,4 @@ func adaptiveSimpsonRec(f func(float64) float64, a, b, fa, fm, fb, whole, tol fl
 	}
 	return adaptiveSimpsonRec(f, a, m, fa, flm, fm, left, tol/2, depth-1) +
 		adaptiveSimpsonRec(f, m, b, fm, frm, fb, right, tol/2, depth-1)
-}
-
-// UniformGrid holds a function tabulated on a uniform grid — the
-// workhorse representation for the delayed-resubmission integrals,
-// where every term is a functional of F̃R and its density on [0, t∞].
-type UniformGrid struct {
-	X0 float64   // first abscissa
-	Dx float64   // spacing (> 0)
-	Y  []float64 // values, len >= 2
-}
-
-// NewUniformGrid tabulates f on n+1 points spanning [a, b].
-func NewUniformGrid(f func(float64) float64, a, b float64, n int) *UniformGrid {
-	if n < 1 || !(a < b) {
-		panic(fmt.Sprintf("stats: invalid grid spec [%v,%v] n=%d", a, b, n))
-	}
-	g := &UniformGrid{X0: a, Dx: (b - a) / float64(n), Y: make([]float64, n+1)}
-	for i := range g.Y {
-		g.Y[i] = f(a + float64(i)*g.Dx)
-	}
-	return g
-}
-
-// At linearly interpolates the tabulated function at x, clamping to the
-// boundary values outside the grid.
-func (g *UniformGrid) At(x float64) float64 {
-	t := (x - g.X0) / g.Dx
-	if t <= 0 {
-		return g.Y[0]
-	}
-	if t >= float64(len(g.Y)-1) {
-		return g.Y[len(g.Y)-1]
-	}
-	i := int(t)
-	frac := t - float64(i)
-	return g.Y[i]*(1-frac) + g.Y[i+1]*frac
-}
-
-// Integral returns the trapezoid integral of the tabulated function
-// over its full span.
-func (g *UniformGrid) Integral() float64 {
-	sum := 0.5 * (g.Y[0] + g.Y[len(g.Y)-1])
-	for i := 1; i < len(g.Y)-1; i++ {
-		sum += g.Y[i]
-	}
-	return sum * g.Dx
 }

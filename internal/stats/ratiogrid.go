@@ -5,10 +5,11 @@ import (
 	"sort"
 )
 
-// ProdRatioGridTol bounds IntegralProdRatioGrid's error against the
-// per-point walks: |grid - walk| <= ProdRatioGridTol·(walk + (r-1)·t)
-// at every point t, where the window length (r-1)·t bounds the cross
-// term. The fuzz target and the accuracy tests hold the kernel to it.
+// ProdRatioGridTol bounds IntegralProdRatioGrid's error against both
+// the per-point walks and the exact cross term C: |grid - C| <=
+// ProdRatioGridTol·(C + (r-1)·t) at every point t, where the window
+// length (r-1)·t bounds the cross term. The fuzz targets and the
+// accuracy tests hold the kernel to it.
 const ProdRatioGridTol = 1e-12
 
 // IntegralProdRatioGrid fills out[k] with the plain delayed cross term
@@ -37,15 +38,15 @@ const ProdRatioGridTol = 1e-12
 // Every change at or before lo is folded into the sum's value at lo
 // instead, so each is counted exactly once whatever the rounding. The
 // cost is O(n + G + crossings inside the grid). Anything outside the
-// shape the pass handles — ratio <= 1, lo or h not positive, s < 0,
-// negative support — is answered by per-point walks.
+// shape the pass handles — ratio <= 1, lo or h not positive, s < 0 —
+// is answered by per-point walks.
 func (e *ECDF) IntegralProdRatioGrid(ratio, lo, h, s float64, out []float64) {
 	G := len(out)
 	if G == 0 {
 		return
 	}
 	hi := lo + float64(G-1)*h
-	if !(ratio > 1) || !(lo > 0) || !(h > 0) || !(s >= 0) || math.IsInf(ratio*hi, 0) || e.xs[0] < 0 {
+	if !(ratio > 1) || !(lo > 0) || !(h > 0) || !(s >= 0) || math.IsInf(ratio*hi, 0) {
 		for k := range out {
 			t := lo + float64(k)*h
 			out[k] = e.integralProd(ratio*t-t, t, s, false)
@@ -56,7 +57,7 @@ func (e *ECDF) IntegralProdRatioGrid(ratio, lo, h, s float64, out []float64) {
 	if G == 1 {
 		return
 	}
-	sv := e.survival(s)
+	sv := e.powKernelFor(s, 1).sv
 	xs, m := e.xs, len(e.xs)
 	rm1 := ratio - 1
 	cells := G - 1

@@ -35,7 +35,8 @@ func checkRatioGrid(t *testing.T, e *ECDF, r, lo, h, s float64, G int) float64 {
 // its stated bound on random ECDFs (duplicates, point masses at zero,
 // integer support where many events coincide) over grids that start
 // below, inside and above the support, at the paper's ratios and
-// random ones.
+// random ones: against the walks at every point, and against the exact
+// oracle at every 25th point of every 20th grid.
 func TestProdRatioGridMatchesWalks(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	worst, grids := 0.0, 0
@@ -63,35 +64,37 @@ func TestProdRatioGridMatchesWalks(t *testing.T) {
 		if !(h > 0) {
 			h = 1
 		}
-		worst = math.Max(worst, checkRatioGrid(t, e, r, lo, h, s, 1+rng.Intn(401)))
+		G := 1 + rng.Intn(401)
+		worst = math.Max(worst, checkRatioGrid(t, e, r, lo, h, s, G))
+		if trial%20 == 0 {
+			checkRatioGridOracle(t, e, r, lo, h, s, G, 25)
+		}
 		grids++
 	}
 	t.Logf("%d grids: worst scaled error %.3g (bound %g)", grids, worst, ProdRatioGridTol)
 }
 
 // TestProdRatioGridFallsBackToWalks: shapes outside the one pass (no
-// positive step, ratio <= 1, negative support) are answered by the
-// per-point walks bit for bit.
+// positive step, ratio <= 1) are answered by the per-point walks bit
+// for bit; negative support cannot be built at all.
 func TestProdRatioGridFallsBackToWalks(t *testing.T) {
-	pos := MustECDF([]float64{3, 5, 5, 9, 14})
-	neg := MustECDF([]float64{-2, 3, 5, 9})
-	for _, c := range []struct {
-		e        *ECDF
-		r, lo, h float64
-	}{
-		{pos, 1.5, 4, 0},
-		{pos, 1, 4, 0.5},
-		{pos, 1.5, 0, 0.5},
-		{neg, 1.5, 4, 0.5},
+	e := MustECDF([]float64{3, 5, 5, 9, 14})
+	for _, c := range []struct{ r, lo, h float64 }{
+		{1.5, 4, 0},
+		{1, 4, 0.5},
+		{1.5, 0, 0.5},
 	} {
 		out := make([]float64, 7)
-		c.e.IntegralProdRatioGrid(c.r, c.lo, c.h, 0.9, out)
+		e.IntegralProdRatioGrid(c.r, c.lo, c.h, 0.9, out)
 		for k, got := range out {
 			x := c.lo + float64(k)*c.h
-			if walk := c.e.IntegralProdOneMinusF(c.r*x-x, x, 0.9); math.Float64bits(got) != math.Float64bits(walk) {
+			if walk := e.IntegralProdOneMinusF(c.r*x-x, x, 0.9); math.Float64bits(got) != math.Float64bits(walk) {
 				t.Fatalf("%+v point %d: %v, walk %v", c, k, got, walk)
 			}
 		}
+	}
+	if _, err := NewECDF([]float64{-2, 3, 5, 9}); err == nil {
+		t.Fatal("negative support accepted")
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 )
 
 // Shifted translates a base distribution right by Offset: if X ~ Base
@@ -32,150 +31,6 @@ func (s Shifted) Rand(rng *rand.Rand) float64 {
 }
 func (s Shifted) Mean() float64 { return s.Base.Mean() + s.Offset }
 func (s Shifted) Var() float64  { return s.Base.Var() }
-
-// Scaled multiplies a base distribution by Factor > 0: the law of
-// Factor·X.
-type Scaled struct {
-	Base   Distribution
-	Factor float64
-}
-
-// NewScaled returns Base scaled by factor; it panics unless
-// factor > 0.
-func NewScaled(base Distribution, factor float64) Scaled {
-	if base == nil || factor <= 0 || math.IsNaN(factor) || math.IsInf(factor, 0) {
-		panic(fmt.Sprintf("stats: scaled requires positive finite factor, got %v", factor))
-	}
-	return Scaled{Base: base, Factor: factor}
-}
-
-func (s Scaled) PDF(x float64) float64      { return s.Base.PDF(x/s.Factor) / s.Factor }
-func (s Scaled) CDF(x float64) float64      { return s.Base.CDF(x / s.Factor) }
-func (s Scaled) Quantile(p float64) float64 { return s.Base.Quantile(p) * s.Factor }
-func (s Scaled) Rand(rng *rand.Rand) float64 {
-	return s.Base.Rand(rng) * s.Factor
-}
-func (s Scaled) Mean() float64 { return s.Base.Mean() * s.Factor }
-func (s Scaled) Var() float64  { return s.Base.Var() * s.Factor * s.Factor }
-
-// Mixture is a finite mixture of component distributions with
-// non-negative weights summing to one.
-type Mixture struct {
-	components []Distribution
-	weights    []float64 // normalized
-	cumWeights []float64 // prefix sums for sampling
-}
-
-// NewMixture builds a mixture from parallel slices of components and
-// (not necessarily normalized) positive weights. It panics on length
-// mismatch, empty input, or non-positive total weight.
-func NewMixture(components []Distribution, weights []float64) *Mixture {
-	if len(components) == 0 || len(components) != len(weights) {
-		panic(fmt.Sprintf("stats: mixture needs matching non-empty slices, got %d components and %d weights",
-			len(components), len(weights)))
-	}
-	total := 0.0
-	for i, w := range weights {
-		if w < 0 || math.IsNaN(w) {
-			panic(fmt.Sprintf("stats: mixture weight %d is invalid: %v", i, w))
-		}
-		total += w
-	}
-	if total <= 0 {
-		panic("stats: mixture total weight must be positive")
-	}
-	m := &Mixture{
-		components: append([]Distribution(nil), components...),
-		weights:    make([]float64, len(weights)),
-		cumWeights: make([]float64, len(weights)),
-	}
-	acc := 0.0
-	for i, w := range weights {
-		m.weights[i] = w / total
-		acc += w / total
-		m.cumWeights[i] = acc
-	}
-	m.cumWeights[len(m.cumWeights)-1] = 1
-	return m
-}
-
-// Components returns the number of mixture components.
-func (m *Mixture) Components() int { return len(m.components) }
-
-// Weight returns the normalized weight of component i.
-func (m *Mixture) Weight(i int) float64 { return m.weights[i] }
-
-// Component returns component i.
-func (m *Mixture) Component(i int) Distribution { return m.components[i] }
-
-func (m *Mixture) PDF(x float64) float64 {
-	sum := 0.0
-	for i, c := range m.components {
-		sum += m.weights[i] * c.PDF(x)
-	}
-	return sum
-}
-
-func (m *Mixture) CDF(x float64) float64 {
-	sum := 0.0
-	for i, c := range m.components {
-		sum += m.weights[i] * c.CDF(x)
-	}
-	return sum
-}
-
-func (m *Mixture) Quantile(p float64) float64 {
-	switch {
-	case p <= 0:
-		lo := math.Inf(1)
-		for _, c := range m.components {
-			lo = math.Min(lo, c.Quantile(0))
-		}
-		return lo
-	case p >= 1:
-		return math.Inf(1)
-	}
-	// Bracket using component quantiles, then bisect the mixture CDF.
-	lo, hi := math.Inf(1), 0.0
-	for _, c := range m.components {
-		lo = math.Min(lo, c.Quantile(p/2))
-		q := c.Quantile(math.Min(1-1e-12, p+(1-p)/2))
-		if !math.IsInf(q, 1) {
-			hi = math.Max(hi, q)
-		}
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return quantileBisect(m.CDF, p, math.Min(lo, 0), hi)
-}
-
-func (m *Mixture) Rand(rng *rand.Rand) float64 {
-	u := rng.Float64()
-	i := sort.SearchFloat64s(m.cumWeights, u)
-	if i >= len(m.components) {
-		i = len(m.components) - 1
-	}
-	return m.components[i].Rand(rng)
-}
-
-func (m *Mixture) Mean() float64 {
-	sum := 0.0
-	for i, c := range m.components {
-		sum += m.weights[i] * c.Mean()
-	}
-	return sum
-}
-
-func (m *Mixture) Var() float64 {
-	mean := m.Mean()
-	sum := 0.0
-	for i, c := range m.components {
-		cm := c.Mean()
-		sum += m.weights[i] * (c.Var() + (cm-mean)*(cm-mean))
-	}
-	return sum
-}
 
 // TruncatedAbove conditions a base distribution on X <= Bound. It is
 // used to model the paper's 10,000-second probe timeout: observed

@@ -60,23 +60,6 @@ func RegularizedGammaP(a, x float64) float64 {
 	}
 }
 
-// RegularizedGammaQ computes the regularized upper incomplete gamma
-// function Q(a, x) = 1 - P(a, x).
-func RegularizedGammaQ(a, x float64) float64 {
-	switch {
-	case a <= 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x <= 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	case x < a+1:
-		return 1 - gammaPSeries(a, x)
-	default:
-		return gammaQContinuedFraction(a, x)
-	}
-}
-
 const (
 	specialEps     = 1e-14
 	specialMaxIter = 500
@@ -129,12 +112,6 @@ func gammaQContinuedFraction(a, x float64) float64 {
 	return math.Exp(-x+a*math.Log(x)-lg) * h
 }
 
-// LogGamma returns ln Γ(x) for x > 0.
-func LogGamma(x float64) float64 {
-	v, _ := math.Lgamma(x)
-	return v
-}
-
 // Digamma returns the digamma function ψ(x) = d/dx ln Γ(x) for x > 0.
 // It uses the recurrence ψ(x) = ψ(x+1) - 1/x to push the argument above
 // 6 and then the asymptotic expansion.
@@ -171,37 +148,6 @@ func Trigamma(x float64) float64 {
 	// ψ'(x) ~ 1/x + 1/(2x²) + Σ B_{2n}/x^{2n+1}.
 	result += inv * (1 + 0.5*inv + inv2*(1.0/6-inv2*(1.0/30-inv2*(1.0/42-inv2*1.0/30))))
 	return result
-}
-
-// ErfInv returns the inverse error function: ErfInv(Erf(x)) == x.
-// The implementation uses a rational approximation refined by two
-// Newton steps, accurate to ~1e-15 over (-1, 1).
-func ErfInv(y float64) float64 {
-	switch {
-	case math.IsNaN(y) || y <= -1 || y >= 1:
-		if y == 1 {
-			return math.Inf(1)
-		}
-		if y == -1 {
-			return math.Inf(-1)
-		}
-		return math.NaN()
-	case y == 0:
-		return 0
-	}
-	// Initial guess via the normal quantile relation
-	// erfinv(y) = Φ⁻¹((y+1)/2) / √2.
-	x := NormalQuantile((y+1)/2) / math.Sqrt2
-	// Newton refinement on f(x) = erf(x) - y; f'(x) = 2/√π · e^{-x²}.
-	for i := 0; i < 3; i++ {
-		err := math.Erf(x) - y
-		deriv := 2 / math.SqrtPi * math.Exp(-x*x)
-		if deriv == 0 {
-			break
-		}
-		x -= err / deriv
-	}
-	return x
 }
 
 // NormalQuantile returns the quantile function (inverse CDF) of the
@@ -267,9 +213,4 @@ func NormalQuantile(p float64) float64 {
 // function Φ(x).
 func NormalCDF(x float64) float64 {
 	return 0.5 * math.Erfc(-x/math.Sqrt2)
-}
-
-// NormalPDF returns the standard normal density φ(x).
-func NormalPDF(x float64) float64 {
-	return math.Exp(-x*x/2) / math.Sqrt(2*math.Pi)
 }

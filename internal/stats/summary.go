@@ -77,15 +77,6 @@ func Variance(sample []float64) float64 {
 // StdDev returns the population standard deviation of sample.
 func StdDev(sample []float64) float64 { return math.Sqrt(Variance(sample)) }
 
-// SampleVariance returns the unbiased (n-1) variance.
-func SampleVariance(sample []float64) float64 {
-	n := len(sample)
-	if n < 2 {
-		return 0
-	}
-	return Variance(sample) * float64(n) / float64(n-1)
-}
-
 // Percentile returns the p-quantile (p in [0,1]) of a *sorted* sample
 // using linear interpolation between closest ranks (type-7, the R/NumPy
 // default). It panics on an empty sample.
@@ -106,60 +97,4 @@ func Percentile(sorted []float64, p float64) float64 {
 		return sorted[len(sorted)-1]
 	}
 	return sorted[lo] + (h-float64(lo))*(sorted[hi]-sorted[lo])
-}
-
-// TruncatedMean returns the mean of the sample values <= bound and the
-// count of such values. Used for the paper's "mean < 10⁴ s" column.
-func TruncatedMean(sample []float64, bound float64) (mean float64, count int) {
-	sum := 0.0
-	for _, v := range sample {
-		if v <= bound {
-			sum += v
-			count++
-		}
-	}
-	if count == 0 {
-		return 0, 0
-	}
-	return sum / float64(count), count
-}
-
-// CensoredMean returns the mean with values above bound replaced by
-// bound — the paper's "mean with 10⁵" lower bound of the true mean.
-func CensoredMean(sample []float64, bound float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range sample {
-		sum += math.Min(v, bound)
-	}
-	return sum / float64(len(sample))
-}
-
-// TruncatedStd returns the population standard deviation of the sample
-// values <= bound.
-func TruncatedStd(sample []float64, bound float64) float64 {
-	var kept []float64
-	for _, v := range sample {
-		if v <= bound {
-			kept = append(kept, v)
-		}
-	}
-	return StdDev(kept)
-}
-
-// OutlierRatio returns the fraction of sample values strictly greater
-// than bound.
-func OutlierRatio(sample []float64, bound float64) float64 {
-	if len(sample) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range sample {
-		if v > bound {
-			n++
-		}
-	}
-	return float64(n) / float64(len(sample))
 }

@@ -28,11 +28,8 @@ func sketchTwin(t *testing.T, name string) (exact, sketched Model) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sk, err := stats.SketchFromECDF(em.ECDF(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sm, err := core.NewEmpiricalModelDist(sk, tr.OutlierRatio(), tr.Timeout)
+	sk := stats.SketchFromECDF(em.ECDF(), 0)
+	sm, err := core.NewEmpiricalModel(sk.View(), tr.OutlierRatio(), tr.Timeout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,10 +155,7 @@ func TestSketchParityErrorBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sk, err := stats.SketchFromECDF(em.ECDF(), 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sk := stats.SketchFromECDF(em.ECDF(), 0)
 		if eps := sk.ErrorBound(); eps >= 0.01 {
 			t.Errorf("%s: sketch error bound %v >= 1%% tolerance", spec.Name, eps)
 		}
