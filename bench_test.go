@@ -325,6 +325,35 @@ func BenchmarkAblationOptimizerDelayedRatios(b *testing.B) {
 	}
 }
 
+// BenchmarkColdRecommend times the planner layer of a cold plan: each
+// iteration builds a fresh model of 2006-IX (no kernel tables, no
+// candidate table) outside the timer, then runs an option-free
+// Recommend on one goroutine (WithParallelism(1)) — the baseline, the
+// b = 2 multiple optimum and the ten delayed ratio optima; no answer
+// reads a delayed candidate's E[N‖], so it is not computed.
+func BenchmarkColdRecommend(b *testing.B) {
+	tr, err := benchContext(b).Set.Get(experiments.ReferenceDataset)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		m, err := core.ModelFromTrace(tr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := NewPlanner(m, WithParallelism(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := p.Recommend(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAblationOptimizerWarmSharedPlanner times the daemon's
 // option-carrying recommend in process: each iteration builds a fresh
 // Planner over one shared, warmed memoized model of 2006-IX, cycling

@@ -228,6 +228,11 @@ func OptimizeDelayedRatio(ctx context.Context, m Model, ratio float64, workers i
 	if err != nil {
 		return DelayedParams{}, Evaluation{}, err
 	}
+	pars, err := core.DelayedParallels(ctx, m, ps, workers)
+	if err != nil {
+		return DelayedParams{}, Evaluation{}, err
+	}
+	evs[0].Parallel = pars[0]
 	return ps[0], evs[0], nil
 }
 

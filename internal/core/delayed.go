@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"gridstrat/internal/optimize"
 	"gridstrat/internal/stats"
@@ -396,18 +397,11 @@ func EJDelayed(m Model, p DelayedParams) float64 {
 // SigmaDelayed returns the exact standard deviation of the total
 // latency of the delayed strategy.
 func SigmaDelayed(m Model, p DelayedParams) float64 {
-	if p.Validate() != nil {
+	ev, err := delayedEJSigma(m, p)
+	if err != nil {
 		return math.Inf(1)
 	}
-	ej, ej2 := delayedMoments(m, p)
-	if math.IsInf(ej, 1) {
-		return math.Inf(1)
-	}
-	v := ej2 - ej*ej
-	if v < 0 {
-		v = 0
-	}
-	return math.Sqrt(v)
+	return ev.Sigma
 }
 
 // NParallelGivenLatency returns N‖(l): the time-averaged number of
@@ -457,11 +451,15 @@ func NParallelExpected(m Model, p DelayedParams) float64 {
 // within period j >= 1 the survival is q^(j-1)·(1-F̃(u+T0))·(1-F̃(u))
 // while both copies race (u < t∞-t0) and q^j·(1-F̃(u)) after, so the
 // two factors are tabulated once per call and each period costs two
-// powers of q plus O(cells) table lookups: F̃ is evaluated at most
-// 2·cells+1 times however many periods the series runs. Every cell
-// midpoint l of period j >= 1 has floor(l/T0) = j — its margin h/2
-// dwarfs the ~j·ε·T0 rounding of l — so N‖'s period count, its I0/I1
-// split point and the heads of both of NParallelGivenLatency's
+// powers of q plus O(cells) table lookups. The edges u and then u+T0
+// form one ascending run, so a model with the ascending extension
+// builds both tables in one galloping sweep, O(cells·log(n/cells)) for
+// n support points; any other model makes at most 2·cells+1 Ftilde
+// calls, q's included, however many periods the series runs. The
+// tables live in a pooled scratch buffer, reused across calls. Every
+// cell midpoint l of period j >= 1 has floor(l/T0) = j — its margin
+// h/2 dwarfs the ~j·ε·T0 rounding of l — so N‖'s period count, its
+// I0/I1 split point and the heads of both of NParallelGivenLatency's
 // formulas are fixed per period; the cell loop finishes the formulas
 // in their association order, and period 0 weighs every cell by 1.
 func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
@@ -475,17 +473,27 @@ func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
 	t0, tInf := p.T0, p.TInf
 	h := t0 / float64(cells)
 	w := tInf - t0
-	tables := make([]float64, 2*(cells+1))
-	one := tables[:cells+1]  // one[i] = 1-F̃(i·h)
-	both := tables[cells+1:] // both[i] = 1-F̃(i·h+T0), for i <= racing
-	racing := 0              // cells 1..racing have i·h < w: both copies race
+	racing := 0 // cells 1..racing have i·h < w: both copies race
+	for racing < cells && float64(racing+1)*h < w {
+		racing++
+	}
+	buf := survivalScratch.Get().(*[]float64)
+	defer survivalScratch.Put(buf)
+	if cap(*buf) < cells+racing {
+		*buf = make([]float64, cells+racing)
+	}
+	tables := (*buf)[:cells+racing]
+	one := tables[:cells]  // one[i-1] = 1-F̃(i·h)
+	both := tables[cells:] // both[i-1] = 1-F̃(i·h+T0), for i <= racing
 	for i := 1; i <= cells; i++ {
-		u := float64(i) * h
-		one[i] = 1 - m.Ftilde(u)
-		if u < w {
-			both[i] = 1 - m.Ftilde(u+t0)
-			racing = i
-		}
+		one[i-1] = float64(i) * h
+	}
+	for i := 1; i <= racing; i++ {
+		both[i-1] = float64(i)*h + t0
+	}
+	ftildeAscending(m, tables)
+	for i, f := range tables {
+		tables[i] = 1 - f
 	}
 	sum := 0.0
 	prevG := 1.0
@@ -503,11 +511,11 @@ func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
 			var gt float64
 			switch {
 			case j == 0:
-				gt = one[i]
+				gt = one[i-1]
 			case i <= racing:
-				gt = qPrev * both[i] * one[i]
+				gt = qPrev * both[i-1] * one[i-1]
 			default:
-				gt = qCur * one[i]
+				gt = qCur * one[i-1]
 			}
 			t := base + float64(i)*h
 			if mass := prevG - gt; mass > 0 {
@@ -531,9 +539,25 @@ func nParallelExpectedCells(m Model, p DelayedParams, cells int) float64 {
 	return sum
 }
 
+// survivalScratch pools nParallelExpectedCells' table buffers (a
+// *[]float64 each), so every worker reuses one instead of allocating
+// its tables per call.
+var survivalScratch = sync.Pool{New: func() any { return new([]float64) }}
+
 // DelayedEvaluate bundles the exact EJ, σJ and E[N‖] of the delayed
 // strategy at the given parameters.
 func DelayedEvaluate(m Model, p DelayedParams) (Evaluation, error) {
+	ev, err := delayedEJSigma(m, p)
+	if err != nil {
+		return Evaluation{}, err
+	}
+	ev.Parallel = NParallelExpected(m, p)
+	return ev, nil
+}
+
+// delayedEJSigma is DelayedEvaluate without E[N‖]: the evaluation's
+// EJ and σJ, Parallel left zero.
+func delayedEJSigma(m Model, p DelayedParams) (Evaluation, error) {
 	if err := p.Validate(); err != nil {
 		return Evaluation{}, err
 	}
@@ -545,11 +569,7 @@ func DelayedEvaluate(m Model, p DelayedParams) (Evaluation, error) {
 	if v < 0 {
 		v = 0
 	}
-	return Evaluation{
-		EJ:       ej,
-		Sigma:    math.Sqrt(v),
-		Parallel: NParallelExpected(m, p),
-	}, nil
+	return Evaluation{EJ: ej, Sigma: math.Sqrt(v)}, nil
 }
 
 // EJDelayedPaper evaluates the expected latency using the paper's own
@@ -712,12 +732,18 @@ const (
 // Round 1 stays a grid: the step-ECDF objective has many kinks inside a
 // round-0 bracket, and a Brent polish started from there lands in a
 // worse kink on most paper cells. Round 0's t0 rows, and each ratio's
-// round 1, polish and final DelayedEvaluate, fan across up to
+// round 1, polish and final EJ and σ, fan across up to
 // `workers` goroutines (<= 0 means all cores); every value is
 // pointwise and the ratios are independent, so results are identical
 // for every count, equal per-ratio calls, and do not depend on whether
 // the model has the ratio-grid kernel. An out-of-range ratio is
 // an error, and a done ctx aborts with the context's error.
+//
+// The evaluations carry EJ and σJ (+Inf both where the optimum
+// diverges); their Parallel is left zero, because E[N‖] is no part of
+// the search and costs more than the rest of the final evaluation.
+// DelayedParallels computes it at the returned optima, for callers
+// that read it.
 func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, workers int) ([]DelayedParams, []Evaluation, error) {
 	for _, r := range ratios {
 		if !(r > 1 && r <= 2) {
@@ -770,9 +796,9 @@ func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, worke
 		if ctx.Err() != nil {
 			return
 		}
-		ev, err := DelayedEvaluate(m, ps[j])
+		ev, err := delayedEJSigma(m, ps[j])
 		if err != nil {
-			ev = Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1), Parallel: 1}
+			ev = Evaluation{EJ: math.Inf(1), Sigma: math.Inf(1)}
 		}
 		evs[j] = ev
 	})
@@ -780,4 +806,26 @@ func OptimizeDelayedRatios(ctx context.Context, m Model, ratios []float64, worke
 		return nil, nil, err
 	}
 	return ps, evs, nil
+}
+
+// DelayedParallels returns E[N‖] (NParallelExpected) at every ps[j],
+// in order, and 1 where the parameters are invalid or the strategy
+// diverges (no success mass before t∞): the N‖ reported with an
+// optimum whose EJ is +Inf. The points fan across up to `workers`
+// goroutines (<= 0 means all cores; values are pointwise, so
+// identical for every count); a done ctx aborts with its error.
+func DelayedParallels(ctx context.Context, m Model, ps []DelayedParams, workers int) ([]float64, error) {
+	out := make([]float64, len(ps))
+	optimize.ParallelFor(len(ps), optimize.Workers(workers), func(j int) {
+		if ctx.Err() != nil {
+			return
+		}
+		if out[j] = NParallelExpected(m, ps[j]); math.IsNaN(out[j]) {
+			out[j] = 1
+		}
+	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

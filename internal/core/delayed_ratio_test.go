@@ -309,8 +309,9 @@ func ratioGridModels(t *testing.T) map[string]Model {
 // pruned round 0 and the one-pass round 1: with round 0 walking only
 // the rows its bounds cannot rule out, and round 1 the kernel's cross
 // terms and the exact confirmation, OptimizeDelayedRatios returns the
-// parameters and evaluations of the full-grid, all-walk search bit for
-// bit at workers 1, 2 and 8.
+// parameters of the full-grid, all-walk search bit for bit at workers
+// 1, 2 and 8, and its EJ and σ with DelayedParallels' E[N‖] are that
+// search's DelayedEvaluate. The search itself leaves Parallel zero.
 func TestOptimizeDelayedRatiosMatchesAllWalk(t *testing.T) {
 	for name, m := range ratioGridModels(t) {
 		wps, wevs := optimizeDelayedRatiosAllWalk(m, oracleRatios)
@@ -319,7 +320,15 @@ func TestOptimizeDelayedRatiosMatchesAllWalk(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			pars, err := DelayedParallels(context.Background(), m, ps, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for j, ratio := range oracleRatios {
+				if evs[j].Parallel != 0 {
+					t.Fatalf("%s ratio %v: the search filled Parallel %v", name, ratio, evs[j].Parallel)
+				}
+				evs[j].Parallel = pars[j]
 				if ps[j] != wps[j] || evs[j] != wevs[j] {
 					t.Errorf("%s workers %d ratio %v: (%+v, %+v), all-walk (%+v, %+v)",
 						name, workers, ratio, ps[j], evs[j], wps[j], wevs[j])
@@ -389,4 +398,47 @@ func TestRatioGridKernelAccuracy(t *testing.T) {
 	}
 	t.Logf("%d points: worst scaled error %.3g (bound %g); %d rounds re-evaluated %d points",
 		points, worst, stats.ProdRatioGridTol, rounds, confirmed)
+}
+
+// TestDelayedParallels: DelayedParallels is NParallelExpected at every
+// point, bit for bit and in order at every worker count, 1 where the
+// strategy diverges or the parameters are invalid, and a pre-cancelled
+// ctx surfaces as context.Canceled.
+func TestDelayedParallels(t *testing.T) {
+	m := parityModel(t, 7, 0.12)
+	ps, _, err := OptimizeDelayedRatios(context.Background(), m, oracleRatios, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	never, err := NewEmpiricalModel(stats.MustECDF([]float64{500, 600}), 0.1, 10000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps = append(ps, DelayedParams{T0: 300, TInf: 200}, DelayedParams{T0: -1, TInf: 1})
+	for _, workers := range []int{1, 2, 8} {
+		got, err := DelayedParallels(context.Background(), m, ps, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range ps {
+			want := NParallelExpected(m, p)
+			if p.Validate() != nil {
+				want = 1
+			}
+			if math.Float64bits(got[j]) != math.Float64bits(want) {
+				t.Fatalf("workers %d %+v: %v, want %v", workers, p, got[j], want)
+			}
+		}
+	}
+	// No success mass before t∞ = 400: the strategy diverges.
+	if got, err := DelayedParallels(context.Background(), never, []DelayedParams{{T0: 300, TInf: 400}}, 1); err != nil || got[0] != 1 {
+		t.Fatalf("diverging strategy: %v (%v), want 1", got, err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 2} {
+		if _, err := DelayedParallels(ctx, m, ps, workers); err != context.Canceled {
+			t.Fatalf("workers %d: err = %v, want context.Canceled", workers, err)
+		}
+	}
 }

@@ -291,6 +291,10 @@ func TestOptimizeDelayedRatioBeatsSingleForGoodRatios(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	pars, err := DelayedParallels(context.Background(), m, ps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for j, ratio := range ratios {
 		p, ev := ps[j], evs[j]
 		if math.Abs(p.Ratio()-ratio) > 1e-9 {
@@ -299,8 +303,8 @@ func TestOptimizeDelayedRatioBeatsSingleForGoodRatios(t *testing.T) {
 		if !(ev.EJ < single.EJ) {
 			t.Errorf("ratio %v: EJ %v not below single %v", ratio, ev.EJ, single.EJ)
 		}
-		if ev.Parallel < 1 || ev.Parallel > 1.5+1e-9 {
-			t.Errorf("ratio %v: N‖ = %v outside [1, 1.5]", ratio, ev.Parallel)
+		if pars[j] < 1 || pars[j] > 1.5+1e-9 {
+			t.Errorf("ratio %v: N‖ = %v outside [1, 1.5]", ratio, pars[j])
 		}
 	}
 }

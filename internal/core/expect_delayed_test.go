@@ -225,16 +225,18 @@ func (c *ftildeCounter) Ftilde(t float64) float64 {
 	return c.Model.Ftilde(t)
 }
 
-// TestNParallelExpectedFtildeCallsBounded requires one E[N‖]
-// evaluation to cost at most 2·(cells+1)+1 F̃ calls whatever the
-// number of periods the series runs — the per-cell oracle needs two
-// per cell per period.
+// TestNParallelExpectedFtildeCallsBounded: a model without the
+// ascending extension (here a parametric one) makes at most 2·cells+1
+// F̃ calls per E[N‖] evaluation, whatever the number of periods the
+// series runs — the per-cell oracle needs two per cell per period. An
+// empirical model builds both survival tables in one ascending sweep,
+// bit for bit the per-point values, and calls F̃ once, for q.
 func TestNParallelExpectedFtildeCallsBounded(t *testing.T) {
 	m, err := NewParametricModel(mustShift(t, 40), 0.995, 10000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const bound = 2*(delayedExpectCells+1) + 1
+	const bound = 2*delayedExpectCells + 1
 	for _, p := range []DelayedParams{{T0: 300, TInf: 450}, {T0: 60, TInf: 120}, {T0: 1000, TInf: 1100}} {
 		c := &ftildeCounter{Model: m}
 		NParallelExpected(c, p)
@@ -247,4 +249,28 @@ func TestNParallelExpectedFtildeCallsBounded(t *testing.T) {
 		}
 		t.Logf("%+v: %d F̃ calls (per-cell oracle: %d)", p, c.n, oracle.n)
 	}
+	em := parityModel(t, 7, 0.12)
+	for _, p := range []DelayedParams{{T0: 300, TInf: 450}, {T0: 60, TInf: 120}, {T0: 1000, TInf: 2000}} {
+		c := &sweepCounter{ftildeCounter: ftildeCounter{Model: em}, m: em}
+		got := NParallelExpected(c, p)
+		if want := NParallelExpected(&ftildeCounter{Model: em}, p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%+v: swept E[N‖] %v, per-point %v", p, got, want)
+		}
+		if c.n != 1 || c.sweeps != 1 {
+			t.Fatalf("%+v: %d F̃ calls and %d sweeps, want 1 and 1", p, c.n, c.sweeps)
+		}
+	}
+}
+
+// sweepCounter is ftildeCounter with the ascending extension, counting
+// its sweeps.
+type sweepCounter struct {
+	ftildeCounter
+	m      *EmpiricalModel
+	sweeps int
+}
+
+func (c *sweepCounter) FtildeAscending(ts, out []float64) {
+	c.sweeps++
+	c.m.FtildeAscending(ts, out)
 }

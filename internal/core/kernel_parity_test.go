@@ -18,48 +18,84 @@ type scalarOnly struct{ Model }
 
 // oracleModel is scanned point by point like scalarOnly, but answers
 // its pow integrals exactly instead of through the prefix-sum kernels:
-// big.Rat sums over the ECDF's step law, rounded once to float64 (every
-// float64 is a dyadic rational, so no step of the sum rounds). Its
-// cross terms are the scalar kernels.
+// sums over the ECDF's step law in exact dyadic arithmetic (exactNum),
+// rounded once to float64. Its cross terms are the scalar kernels.
 type oracleModel struct {
 	Model
 	xs []float64
 	// pre[b][m][k] = ∫₀^{xs[k-1]} u^m·S^b for S = 1 - (1-ρ)·F, and
 	// seg[b][k] = S^b once k support points are passed; built for
 	// every b <= maxB up front, so concurrent scans only read them.
-	pre [][2][]*big.Rat
-	seg [][]*big.Rat
+	pre [][2][]num
+	seg [][]num
 }
+
+// The oracle's arithmetic, as in internal/stats' test oracle: every
+// float64 is a dyadic rational, and so is every sum, difference and
+// product of them, so big.Float operations that size each result's
+// mantissa to hold it never round (each checks that it did not). This
+// is exact like big.Rat, without its GCD normalisation on every step.
+type num = *big.Float
+
+func exactNum(x float64) num { return new(big.Float).SetFloat64(x) }
+
+// checkedNum returns z, or panics if the operation that made it
+// rounded.
+func checkedNum(z num) num {
+	if z.Acc() != big.Exact {
+		panic("oracle: inexact operation")
+	}
+	return z
+}
+
+func mulNum(a, b num) num {
+	return checkedNum(new(big.Float).SetPrec(a.MinPrec()+b.MinPrec()+1).Mul(a, b))
+}
+
+// addNum sizes the sum to span from the lowest set bit of either
+// operand to one above the highest (the carry).
+func addNum(a, b num) num {
+	switch {
+	case a.Sign() == 0:
+		return new(big.Float).Copy(b)
+	case b.Sign() == 0:
+		return new(big.Float).Copy(a)
+	}
+	ea, eb := a.MantExp(nil), b.MantExp(nil)
+	lo := min(ea-int(a.MinPrec()), eb-int(b.MinPrec()))
+	return checkedNum(new(big.Float).SetPrec(uint(max(ea, eb)+1-lo)).Add(a, b))
+}
+
+func subNum(a, b num) num { return addNum(a, new(big.Float).Neg(b)) }
 
 func newOracleModel(m *EmpiricalModel, maxB int) oracleModel {
 	e := m.ECDF()
 	o := oracleModel{Model: m, xs: e.Support()}
-	s := new(big.Rat).SetFloat64(1 - m.Rho())
-	one := big.NewRat(1, 1)
-	sv := []*big.Rat{one}
+	s := exactNum(1 - m.Rho())
+	one := exactNum(1)
+	sv := []num{one}
 	for _, x := range o.xs {
-		c := new(big.Rat).SetFloat64(e.Eval(x))
-		sv = append(sv, c.Sub(one, c.Mul(c, s)))
+		sv = append(sv, subNum(one, mulNum(exactNum(e.Eval(x)), s)))
 	}
-	o.pre = make([][2][]*big.Rat, maxB+1)
-	o.seg = make([][]*big.Rat, maxB+1)
+	o.pre = make([][2][]num, maxB+1)
+	o.seg = make([][]num, maxB+1)
 	for b := 1; b <= maxB; b++ {
 		for k := range sv {
-			v := new(big.Rat).Set(one)
+			v := one
 			for i := 0; i < b; i++ {
-				v.Mul(v, sv[k])
+				v = mulNum(v, sv[k])
 			}
 			o.seg[b] = append(o.seg[b], v)
 		}
-		a := new(big.Rat)
+		a := new(big.Float)
 		for m := range o.pre[b] {
-			o.pre[b][m] = []*big.Rat{new(big.Rat)}
+			o.pre[b][m] = []num{new(big.Float)}
 		}
 		for k, x := range o.xs {
-			xr := new(big.Rat).SetFloat64(x)
+			xr := exactNum(x)
 			for m := range o.pre[b] {
 				p := o.pre[b][m]
-				o.pre[b][m] = append(p, new(big.Rat).Add(p[k], segIntRat(a, xr, o.seg[b][k], m)))
+				o.pre[b][m] = append(p, addNum(p[k], segIntNum(a, xr, o.seg[b][k], m)))
 			}
 			a = xr
 		}
@@ -67,14 +103,12 @@ func newOracleModel(m *EmpiricalModel, maxB int) oracleModel {
 	return o
 }
 
-// segIntRat returns c·∫_a^b u^m du.
-func segIntRat(a, b, c *big.Rat, m int) *big.Rat {
-	d := new(big.Rat).Sub(b, a)
-	if m == 1 {
-		d.Mul(d, new(big.Rat).Add(a, b))
-		d.Quo(d, big.NewRat(2, 1))
+// segIntNum returns c·∫_a^b u^m du.
+func segIntNum(a, b, c num, m int) num {
+	if m == 0 {
+		return mulNum(subNum(b, a), c)
 	}
-	return d.Mul(d, c)
+	return mulNum(mulNum(subNum(mulNum(b, b), mulNum(a, a)), exactNum(0.5)), c)
 }
 
 func (o oracleModel) integral(T float64, b, m int) float64 {
@@ -82,11 +116,11 @@ func (o oracleModel) integral(T float64, b, m int) float64 {
 		return 0
 	}
 	k := sort.SearchFloat64s(o.xs, T)
-	a := new(big.Rat)
+	a := new(big.Float)
 	if k > 0 {
-		a.SetFloat64(o.xs[k-1])
+		a = exactNum(o.xs[k-1])
 	}
-	v, _ := new(big.Rat).Add(o.pre[b][m][k], segIntRat(a, new(big.Rat).SetFloat64(T), o.seg[b][k], m)).Float64()
+	v, _ := addNum(o.pre[b][m][k], segIntNum(a, exactNum(T), o.seg[b][k], m)).Float64()
 	return v
 }
 

@@ -124,6 +124,26 @@ func prodRatioGrid(k kernels, ratio, lo, h float64, out []float64) (exact bool) 
 	return true
 }
 
+// ascendingFtilde is an optional Model extension: F̃R at an ascending
+// run of points in one sweep, out[i] = Ftilde(ts[i]) bit for bit (out
+// may be ts). E[N‖] builds its survival tables through it.
+type ascendingFtilde interface {
+	FtildeAscending(ts, out []float64)
+}
+
+// ftildeAscending replaces every point of the ascending run ts by
+// F̃R there: in one sweep where the model has the extension, otherwise
+// one Ftilde call per point.
+func ftildeAscending(m Model, ts []float64) {
+	if a, ok := m.(ascendingFtilde); ok {
+		a.FtildeAscending(ts, ts)
+		return
+	}
+	for i, t := range ts {
+		ts[i] = m.Ftilde(t)
+	}
+}
+
 // kernels is the integral surface every optimizer evaluates through: a
 // Model with both optional extensions.
 type kernels interface {
@@ -215,6 +235,17 @@ func (m *EmpiricalModel) ECDF() *stats.ECDF { return m.ecdf }
 func (m *EmpiricalModel) Ftilde(t float64) float64 { return (1 - m.rho) * m.ecdf.Eval(t) }
 func (m *EmpiricalModel) Rho() float64             { return m.rho }
 func (m *EmpiricalModel) UpperBound() float64      { return m.timeout }
+
+// FtildeAscending writes Ftilde(ts[i]) into out[i], bit for bit, in
+// one galloping sweep of the support (stats.ECDF.EvalAscending); out
+// may be ts itself. It implements the optional extension E[N‖]'s
+// survival tables are built through (see ftildeAscending).
+func (m *EmpiricalModel) FtildeAscending(ts, out []float64) {
+	m.ecdf.EvalAscending(ts, out)
+	for i, v := range out[:len(ts)] {
+		out[i] = (1 - m.rho) * v
+	}
+}
 
 func (m *EmpiricalModel) IntOneMinusFPow(T float64, b int) float64 {
 	return m.ecdf.IntegralOneMinusFPow(T, 1-m.rho, b)

@@ -184,7 +184,7 @@ func Figure6(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "minimal EJ (s)",
 	}
-	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, figureRatioSweep, 1)
+	_, evs, err := delayedRatioOptima(m, figureRatioSweep)
 	if err != nil {
 		return nil, err
 	}
@@ -253,7 +253,7 @@ func Figure8(c *Context) (*Figure, error) {
 		XLabel: "nb. of jobs in parallel",
 		YLabel: "d-cost",
 	}
-	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, figureRatioSweep, 1)
+	_, evs, err := delayedRatioOptima(m, figureRatioSweep)
 	if err != nil {
 		return nil, err
 	}

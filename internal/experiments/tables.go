@@ -99,7 +99,7 @@ func Table3(c *Context) (*Table, error) {
 		Title:   fmt.Sprintf("Delayed resubmission on %s per imposed ratio (single resubmission EJ = %s)", ReferenceDataset, fmtS(cc.RefEJ)),
 		Headers: []string{"t-inf/t0", "N//", "best t-inf", "best t0", "min EJ", "d(100%)"},
 	}
-	ps, evs, err := core.OptimizeDelayedRatios(context.Background(), m, table3Ratios, 1)
+	ps, evs, err := delayedRatioOptima(m, table3Ratios)
 	if err != nil {
 		return nil, err
 	}
@@ -112,6 +112,25 @@ func Table3(c *Context) (*Table, error) {
 }
 
 var table3Ratios = []float64{1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9, 2.0}
+
+// delayedRatioOptima returns the delayed optimum of every ratio with
+// its full evaluation: core.OptimizeDelayedRatios' EJ and σ, and
+// E[N‖] from core.DelayedParallels, on one goroutine.
+func delayedRatioOptima(m core.Model, ratios []float64) ([]core.DelayedParams, []core.Evaluation, error) {
+	ctx := context.Background()
+	ps, evs, err := core.OptimizeDelayedRatios(ctx, m, ratios, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	pars, err := core.DelayedParallels(ctx, m, ps, 1)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j := range evs {
+		evs[j].Parallel = pars[j]
+	}
+	return ps, evs, nil
+}
 
 // Table4 reproduces Table 4: Δcost of the delayed strategy per imposed
 // ratio (left block) and of the multiple-submission strategy per b
@@ -145,7 +164,7 @@ func Table4(c *Context) (*Table, error) {
 		multi = append(multi, multiRow{b: b, ej: ev.EJ, delta: delta})
 	}
 	ratios := append([]float64{1.05}, table3Ratios...)
-	_, evs, err := core.OptimizeDelayedRatios(context.Background(), m, ratios, 1)
+	_, evs, err := delayedRatioOptima(m, ratios)
 	if err != nil {
 		return nil, err
 	}

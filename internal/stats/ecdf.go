@@ -147,6 +147,62 @@ func (e *ECDF) Eval(x float64) float64 {
 	return 0
 }
 
+// EvalAscending writes Eval(xs[i]) into out[i] for every i, bit for
+// bit, in one sweep of the support: a cursor gallops forward from the
+// previous point's position (exponential search, then binary search
+// inside the bracket), so an ascending run of G points costs
+// O(G·log(n/G)) instead of G full binary searches. A point below its
+// predecessor (or NaN) restarts the cursor, so any input is answered
+// correctly; only ascending runs are fast. out may be xs itself, and
+// must be at least as long.
+func (e *ECDF) EvalAscending(xs, out []float64) {
+	lo, prev := 0, math.Inf(-1)
+	for i, x := range xs {
+		if !(x >= prev) {
+			lo = 0
+		}
+		prev = x
+		lo = e.gallop(lo, x)
+		r := lo // rankLE(x), as Eval computes it
+		if r < len(e.xs) && e.xs[r] == x {
+			r++
+		}
+		if r > 0 {
+			out[i] = e.cum[r-1]
+		} else {
+			out[i] = 0
+		}
+	}
+}
+
+// gallop returns sort.SearchFloat64s(e.xs, x) — the first index whose
+// support point is >= x, len(xs) if none (and for NaN) — given that
+// every index below lo fails that predicate. It tests the predicate
+// as SearchFloat64s does, !(xs[i] < x) being no substitute for NaN.
+func (e *ECDF) gallop(lo int, x float64) int {
+	n := len(e.xs)
+	if lo >= n || e.xs[lo] >= x {
+		return lo
+	}
+	hi, step := lo+1, 1
+	for hi < n && !(e.xs[hi] >= x) {
+		lo, step = hi, 2*step
+		hi = lo + step
+	}
+	hi = min(hi, n)
+	// xs[lo] fails the predicate; xs[hi] holds it or hi == n.
+	lo++
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if !(e.xs[mid] >= x) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // Quantile returns the generalized inverse: the smallest support point
 // x with F(x) >= p. For p <= 0 it returns Min; for p >= 1, Max.
 //

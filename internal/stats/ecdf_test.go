@@ -213,3 +213,64 @@ func TestECDFSupportSorted(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// FuzzEvalAscending holds the galloping sweep to Eval bit for bit: on
+// a random law (integer mode makes sample ties and query points that
+// land exactly on support values, zero puts an atom at 0), a grid from
+// below Min to past Max that is sparse (far fewer points than support
+// values) or dense (far more), with every support value and its
+// neighbours mixed in, answered ascending, in place, and shuffled
+// (the cursor's restart path, NaN included).
+func FuzzEvalAscending(f *testing.F) {
+	f.Add(int64(1), uint16(200), false, false, -3.0, 1.2, uint16(7))
+	f.Add(int64(2), uint16(30), true, true, 0.0, 1.0, uint16(3000))
+	f.Add(int64(3), uint16(0), false, true, 5.0, 0.1, uint16(1))
+	f.Add(int64(4), uint16(1000), true, false, -0.5, 2.0, uint16(64))
+	f.Fuzz(func(t *testing.T, seed int64, n uint16, integer, zero bool, lo, span float64, g uint16) {
+		if math.IsNaN(lo) || math.IsInf(lo, 0) || math.IsNaN(span) || math.IsInf(span, 0) {
+			t.Skip()
+		}
+		rng := rand.New(rand.NewSource(seed))
+		sample := make([]float64, 1+int(n)%1024)
+		for i := range sample {
+			if integer {
+				sample[i] = float64(1 + rng.Intn(25))
+			} else {
+				sample[i] = rng.ExpFloat64() * 100
+			}
+		}
+		if zero {
+			sample[0] = 0
+		}
+		e := MustECDF(sample)
+		width := e.Max() - e.Min() + 1
+		start := e.Min() + math.Mod(lo, 4)*width // below Min down to ~4 widths
+		h := (math.Mod(math.Abs(span), 4) + 1e-3) * width / float64(1+int(g)%4096)
+		xs := make([]float64, 0, 1+int(g)%4096+3*len(e.xs))
+		for i := 0; i <= int(g)%4096; i++ {
+			xs = append(xs, start+float64(i)*h)
+		}
+		for _, x := range e.xs {
+			xs = append(xs, x, math.Nextafter(x, math.Inf(-1)), math.Nextafter(x, math.Inf(1)))
+		}
+		sort.Float64s(xs)
+		check := func(what string, qs []float64) {
+			t.Helper()
+			out := make([]float64, len(qs))
+			e.EvalAscending(qs, out)
+			inPlace := append([]float64(nil), qs...)
+			e.EvalAscending(inPlace, inPlace)
+			for i, x := range qs {
+				want := e.Eval(x)
+				if math.Float64bits(out[i]) != math.Float64bits(want) || math.Float64bits(inPlace[i]) != math.Float64bits(want) {
+					t.Fatalf("%s: point %d (%v): EvalAscending %v, in place %v, Eval %v", what, i, x, out[i], inPlace[i], want)
+				}
+			}
+		}
+		check("ascending", xs)
+		shuffled := append([]float64(nil), xs...)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		shuffled = append(shuffled, math.NaN(), e.Min(), math.Inf(1), math.Inf(-1), e.Max())
+		check("shuffled", shuffled)
+	})
+}

@@ -266,7 +266,8 @@ func (p *Planner) multiple(b int) (Multiple, Evaluation, error) {
 }
 
 // delayedRatios returns the delayed optimum of every ratio of
-// delayedRatioGrid, optimized once per model.
+// delayedRatioGrid, optimized once per model. The evaluations carry EJ
+// and σ only (Parallel zero): delayedParallels holds their E[N‖].
 func (p *Planner) delayedRatios() ([]DelayedParams, []Evaluation, error) {
 	opt, err := p.memo.ratios.get(p.cfg.ctx, func() (ratioOptima, error) {
 		dps, evs, err := core.OptimizeDelayedRatios(p.cfg.ctx, p.model, delayedRatioGrid, p.cfg.parallelism)
@@ -275,12 +276,23 @@ func (p *Planner) delayedRatios() ([]DelayedParams, []Evaluation, error) {
 	return opt.dps, opt.evs, err
 }
 
+// delayedParallels returns E[N‖] at every ratio optimum dps (the
+// table's, from delayedRatios), computed once per model, on first
+// read: an answer that reads no delayed candidate's N‖ never pays it.
+func (p *Planner) delayedParallels(dps []DelayedParams) ([]float64, error) {
+	return p.memo.parallels.get(p.cfg.ctx, func() ([]float64, error) {
+		return core.DelayedParallels(p.cfg.ctx, p.model, dps, p.cfg.parallelism)
+	})
+}
+
 // Prepare fills every candidate-table entry Recommend and
 // RecommendForClass read: the cost baseline, the multiple optimum at
-// every collection size up to the class planner's cap and the delayed
-// ratio optima. Afterwards no such query over the model optimizes
-// anything, whatever its options; without Prepare the first query at
-// each collection size pays that size's optimization.
+// every collection size up to the class planner's cap, the delayed
+// ratio optima and their E[N‖]. Afterwards no such query over the
+// model optimizes or evaluates anything, whatever its options; without
+// Prepare the first query at each collection size pays that size's
+// optimization, and the first that reads a delayed candidate's N‖
+// pays the ten E[N‖] evaluations.
 func (p *Planner) Prepare() error {
 	if _, err := p.baseline(); err != nil {
 		return err
@@ -290,7 +302,11 @@ func (p *Planner) Prepare() error {
 			return err
 		}
 	}
-	_, _, err := p.delayedRatios()
+	dps, _, err := p.delayedRatios()
+	if err != nil {
+		return err
+	}
+	_, err = p.delayedParallels(dps)
 	return err
 }
 
@@ -341,17 +357,27 @@ func (p *Planner) Recommend() (Recommendation, error) {
 		}
 	}
 
-	// Delayed: sweep ratios, keep budget-compatible configurations.
+	// Delayed: sweep ratios, keep budget-compatible configurations. A
+	// candidate that cannot beat the current best is dropped before its
+	// N‖ is read, so E[N‖] is computed only when some candidate can.
 	dps, evs, err := p.delayedRatios()
 	if err != nil {
 		return Recommendation{}, err
 	}
+	var pars []float64
 	for i, ev := range evs {
-		if math.IsInf(ev.EJ, 1) || ev.Parallel > p.cfg.maxParallel {
+		if math.IsInf(ev.EJ, 1) || !(ev.EJ < best.Eval.EJ) {
 			continue
 		}
-		delta := cc.Delta(ev.EJ, ev.Parallel)
-		if inBudget(delta) && ev.EJ < best.Eval.EJ {
+		if pars == nil {
+			if pars, err = p.delayedParallels(dps); err != nil {
+				return Recommendation{}, err
+			}
+		}
+		if ev.Parallel = pars[i]; ev.Parallel > p.cfg.maxParallel {
+			continue
+		}
+		if delta := cc.Delta(ev.EJ, ev.Parallel); inBudget(delta) {
 			best = Recommendation{Strategy: StrategyDelayed, Delayed: dps[i], Eval: ev, Delta: delta}
 		}
 	}
@@ -404,8 +430,12 @@ func (p *Planner) RecommendForClass(pol ClassPolicy) (ClassRecommendation, error
 	if err != nil {
 		return ClassRecommendation{}, err
 	}
+	pars, err := p.delayedParallels(dps)
+	if err != nil {
+		return ClassRecommendation{}, err
+	}
 	for i, ev := range evs {
-		if math.IsInf(ev.EJ, 1) || ev.Parallel > pol.MaxParallel {
+		if ev.Parallel = pars[i]; math.IsInf(ev.EJ, 1) || ev.Parallel > pol.MaxParallel {
 			continue
 		}
 		candidates = append(candidates, Recommendation{
@@ -734,7 +764,11 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 // Each entry is optimized on first use under the asking Planner's
 // context and parallelism (answers do not depend on the parallelism)
 // and then kept for every Planner over the model. Options never reach
-// the table; Recommend and RecommendForClass only filter it.
+// the table; Recommend and RecommendForClass only filter it. The ratio
+// optima's E[N‖] is an entry of its own, filled only when an answer
+// reads a delayed candidate's N‖ (or by Prepare). Recommend reads it
+// only when some delayed optimum has a lower EJ than its best other
+// candidate, which on the paper datasets no option-free query meets.
 //
 // The model's integrals are not memoized: with every entry computed
 // once, the optimizers ask for the same integral again in about one
@@ -742,11 +776,12 @@ func (p *Planner) SmallestCollection(app Application, maxB int) (int, MakespanEs
 type memoModel struct {
 	Model // the underlying model
 
-	baseline flight[baseline]
-	multiple [classMaxB + 1]flight[optimum[Multiple]] // by collection size; 0 unused
-	ratios   flight[ratioOptima]                      // delayedRatioGrid optima
-	delayed  flight[optimum[Delayed]]                 // the 2-D delayed optimum
-	cheapest flight[core.CostResult]                  // the Δcost minimum
+	baseline  flight[baseline]
+	multiple  [classMaxB + 1]flight[optimum[Multiple]] // by collection size; 0 unused
+	ratios    flight[ratioOptima]                      // delayedRatioGrid optima: EJ, σ
+	parallels flight[[]float64]                        // E[N‖] at each ratio optimum
+	delayed   flight[optimum[Delayed]]                 // the 2-D delayed optimum
+	cheapest  flight[core.CostResult]                  // the Δcost minimum
 }
 
 // optimum is one tuned strategy with its evaluation.
@@ -755,7 +790,8 @@ type optimum[S Strategy] struct {
 	ev Evaluation
 }
 
-// ratioOptima holds the delayed optima of delayedRatioGrid, in order.
+// ratioOptima holds the delayed optima of delayedRatioGrid, in order,
+// with EJ and σ (their E[N‖] is the parallels entry).
 type ratioOptima struct {
 	dps []DelayedParams
 	evs []Evaluation
